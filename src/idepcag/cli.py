@@ -19,7 +19,6 @@ import io
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -315,8 +314,7 @@ def _cmd_sweep(args):
         raise _UsageError("--steps must be at least 1")
     lo, hi = _parse_range(args.range)
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(template, args.param, v), values))
+    rows = [_sweep_row(template, args.param, v) for v in values]
     header = "value,multipliers,lyapunov,verdict,oscillatory"
     _write_out("\n".join([header] + rows) + "\n", args.out)
     return EXIT_OK

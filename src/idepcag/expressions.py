@@ -3,12 +3,17 @@
 Coefficient entries of the system matrices are written as small formulas in
 one variable ``t``: numbers, ``pi``, ``+ - *``, integer powers ``^``, and the
 functions ``sin``, ``cos``, ``exp``.  The grammar deliberately has no
-division and no user-defined functions, so every expression evaluates to a
-finite value for every finite ``t`` and numeric periodicity certificates are
-meaningful.
+division and no user-defined functions, so every expression is defined for
+every finite ``t`` and numeric periodicity certificates are meaningful.
+Literals must be finite; values that overflow (``exp(1000)``) are left to
+the load-time certificate, which rejects non-finite samples.
 
 Expressions evaluate with numpy semantics: scalars in, float out, and numpy
-arrays broadcast elementwise.
+arrays broadcast elementwise.  ``to_source`` turns a parsed tree into Python
+source with the same operations in the same order, and ``compile_lambda``
+compiles such source against the numpy functions the tree itself calls, so
+a compiled expression is bitwise equal to ``Expression.evaluate``.  Only
+emitted source is compiled, never the user's text.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ import numpy as np
 __all__ = [
     "Expression",
     "ExpressionSyntaxError",
+    "SOURCE_NAMES",
+    "compile_lambda",
     "parse_expression",
+    "to_source",
 ]
 
 
@@ -50,7 +58,9 @@ class Expression:
     def __str__(self):
         return self._format(0)
 
-    def _format(self, parent_prec):
+    def _format(self, parent_prec, python=False):
+        """Text at the given precedence; ``python=True`` emits Python source
+        (``**`` and the ``_``-prefixed numpy names) instead of the grammar."""
         raise NotImplementedError
 
 
@@ -68,11 +78,13 @@ class Const(Expression):
     def is_constant(self):
         return True
 
-    def _format(self, parent_prec):
-        if self.value < 0:
-            text = repr(self.value)
+    def _format(self, parent_prec, python=False):
+        if python and not math.isfinite(self.value):
+            raise ValueError(f"non-finite constant {self.value!r} has no source form")
+        text = repr(self.value)
+        if text.startswith("-"):  # also -0.0, which compares equal to 0
             return f"({text})" if parent_prec > _P_SUM else text
-        return repr(self.value)
+        return text
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,7 @@ class Var(Expression):
     def is_constant(self):
         return False
 
-    def _format(self, parent_prec):
+    def _format(self, parent_prec, python=False):
         return "t"
 
 
@@ -100,8 +112,8 @@ class Add(Expression):
     def is_constant(self):
         return self.left.is_constant() and self.right.is_constant()
 
-    def _format(self, parent_prec):
-        text = f"{self.left._format(_P_SUM)} + {self.right._format(_P_SUM + 1)}"
+    def _format(self, parent_prec, python=False):
+        text = f"{self.left._format(_P_SUM, python)} + {self.right._format(_P_SUM + 1, python)}"
         return f"({text})" if parent_prec > _P_SUM else text
 
 
@@ -116,8 +128,8 @@ class Sub(Expression):
     def is_constant(self):
         return self.left.is_constant() and self.right.is_constant()
 
-    def _format(self, parent_prec):
-        text = f"{self.left._format(_P_SUM)} - {self.right._format(_P_SUM + 1)}"
+    def _format(self, parent_prec, python=False):
+        text = f"{self.left._format(_P_SUM, python)} - {self.right._format(_P_SUM + 1, python)}"
         return f"({text})" if parent_prec > _P_SUM else text
 
 
@@ -132,8 +144,8 @@ class Mul(Expression):
     def is_constant(self):
         return self.left.is_constant() and self.right.is_constant()
 
-    def _format(self, parent_prec):
-        text = f"{self.left._format(_P_PROD)}*{self.right._format(_P_PROD + 1)}"
+    def _format(self, parent_prec, python=False):
+        text = f"{self.left._format(_P_PROD, python)}*{self.right._format(_P_PROD + 1, python)}"
         return f"({text})" if parent_prec > _P_PROD else text
 
 
@@ -147,8 +159,8 @@ class Neg(Expression):
     def is_constant(self):
         return self.operand.is_constant()
 
-    def _format(self, parent_prec):
-        text = f"-{self.operand._format(_P_UNARY)}"
+    def _format(self, parent_prec, python=False):
+        text = f"-{self.operand._format(_P_UNARY, python)}"
         return f"({text})" if parent_prec > _P_UNARY else text
 
 
@@ -163,8 +175,9 @@ class Pow(Expression):
     def is_constant(self):
         return self.base.is_constant()
 
-    def _format(self, parent_prec):
-        text = f"{self.base._format(_P_POW + 1)}^{self.exponent}"
+    def _format(self, parent_prec, python=False):
+        op = " ** " if python else "^"
+        text = f"{self.base._format(_P_POW + 1, python)}{op}{self.exponent}"
         return f"({text})" if parent_prec > _P_POW else text
 
 
@@ -181,8 +194,9 @@ class Call(Expression):
     def is_constant(self):
         return self.arg.is_constant()
 
-    def _format(self, parent_prec):
-        return f"{self.func}({self.arg._format(0)})"
+    def _format(self, parent_prec, python=False):
+        name = f"_{self.func}" if python else self.func
+        return f"{name}({self.arg._format(0, python)})"
 
 
 _TOKEN_RE = re.compile(
@@ -293,7 +307,10 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExpressionSyntaxError(f"numeric literal {value!r} is not finite", pos)
+            return Const(number)
         if kind == "name":
             if value == "t":
                 return Var()
@@ -333,4 +350,37 @@ def parse_expression(text: str) -> Expression:
         On malformed input or unknown identifiers, with the offending
         position.
     """
-    return _Parser(_tokenize(text)).parse()
+    try:
+        return _Parser(_tokenize(text)).parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
+
+
+def to_source(expr: Expression) -> str:
+    """Python source of ``expr`` in the variable ``t``.
+
+    The source keeps the tree's operations and operand order (Python's
+    ``+ - *`` associate left and ``**`` binds tighter than unary minus, as in
+    the grammar), so evaluating it with ``SOURCE_NAMES`` bound performs the
+    same floating-point operations as ``expr.evaluate``.  It contains only
+    float ``repr``s, ``t``, parentheses, ``+ - * **`` with integer-literal
+    exponents and calls of ``_sin``, ``_cos``, ``_exp``.
+
+    Raises
+    ------
+    ValueError
+        If the tree holds a non-finite constant, which has no literal form.
+    """
+    return expr._format(0, python=True)
+
+
+#: The only names compiled source can reach: the numpy functions the tree
+#: calls, plus the builtins the matrix 1-norm needs.
+SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_abs": abs, "_max": max}
+
+
+def compile_lambda(body: str):
+    """Compile ``lambda t: <body>``, with ``body`` assembled from
+    ``to_source`` output, against ``SOURCE_NAMES`` and no builtins."""
+    code = compile(f"lambda t: {body}", "<idepcag expression>", "eval")
+    return eval(code, {"__builtins__": {}, **SOURCE_NAMES})

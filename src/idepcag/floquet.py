@@ -324,16 +324,25 @@ def verify_normal_form(
         impulse = max(impulse, norm1(jump))
 
     h = _FD_STEP
+    grid = system.grid
     q_resid = 0.0
     q_scale = 1.0
     reduction = 0.0
     for t in ts:
         dQ = _fd5(Q, t, h)
-        gamma = system.grid.gamma(t)
+        _, m, j = grid.locate(t)
+        gamma = grid.args[j] + m * omega
+        # An anchor at the interval's right end is read before that
+        # breakpoint's impulse: the equation needs the left limit there.
+        q_gamma = (
+            _q_factor_left(system, P, gamma)
+            if grid.args[j] == grid.times[j + 1]
+            else q_factor(system, P, gamma)
+        )
         rhs = (
             system.A.eval(t) @ Q(t)
             - Q(t) @ P
-            + system.B.eval(t) @ q_factor(system, P, gamma) @ expm(P * (gamma - t))
+            + system.B.eval(t) @ q_gamma @ expm(P * (gamma - t))
         )
         q_resid = max(q_resid, norm1(dQ - rhs))
         q_scale = max(q_scale, norm1(rhs))

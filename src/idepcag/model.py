@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import ExpressionSyntaxError, parse_expression
+from .expressions import ExpressionSyntaxError, compile_lambda, parse_expression, to_source
 
 __all__ = [
     "ValidationError",
@@ -64,23 +64,52 @@ class Tolerances:
     alg: float = 1e-9
 
 
+def _matrix_sources(entries):
+    """Source of the two compiled functions of a matrix of expressions: the
+    rows as a tuple of tuples, and the matrix 1-norm."""
+    src = [[to_source(expr) for expr in row] for row in entries]
+    rows = "(" + "".join(f"({', '.join(row)},), " for row in src) + ")"
+    # Column sums accumulate row by row, as np.abs(M).sum(axis=0) does.
+    cols = [" + ".join(f"_abs({row[j]})" for row in src) for j in range(len(src))]
+    norm = cols[0] if len(cols) == 1 else f"_max({', '.join(cols)})"
+    return rows, norm
+
+
 @dataclass(frozen=True)
 class MatrixFunction:
-    """n x n matrix of scalar expressions with a declared period."""
+    """n x n matrix of scalar expressions with a declared period.
+
+    The entries are compiled once, at construction, into two Python
+    functions of ``t`` (see ``expressions.to_source``): the rows as nested
+    tuples, and the matrix 1-norm.  Both perform the tree's own operations,
+    so ``eval`` is bitwise equal to evaluating ``entries`` one by one, and
+    ``norm1_at(t)`` to ``linalg.norm1(eval(t))``.
+    """
 
     n: int
     entries: tuple  # tuple of tuples of Expression
     period: float
+    _rows: object = field(init=False, repr=False, compare=False)
+    _norm1: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, norm = _matrix_sources(self.entries)
+        object.__setattr__(self, "_rows", compile_lambda(rows))
+        object.__setattr__(self, "_norm1", compile_lambda(norm))
+
+    def __reduce__(self):
+        # The compiled functions are rebuilt from the entries on unpickling.
+        return (MatrixFunction, (self.n, self.entries, self.period))
 
     def __call__(self, t):
         return self.eval(t)
 
     def eval(self, t: float) -> np.ndarray:
-        out = np.empty((self.n, self.n), dtype=float)
-        for i, row in enumerate(self.entries):
-            for j, expr in enumerate(row):
-                out[i, j] = expr.evaluate(t)
-        return out
+        return np.array(self._rows(t), dtype=float)
+
+    def norm1_at(self, t: float) -> float:
+        """Matrix 1-norm of ``eval(t)`` without building the matrix."""
+        return self._norm1(t)
 
     def is_diagonal(self) -> bool:
         """True when every off-diagonal entry is structurally constant zero."""
@@ -90,14 +119,29 @@ class MatrixFunction:
                     return False
         return True
 
+    def _eval_many(self, ts):
+        """Entries at every time of the array ``ts``, shape ``(n, n) + ts.shape``;
+        constant entries broadcast."""
+        out = np.empty((self.n, self.n) + ts.shape)
+        for i, row in enumerate(self._rows(ts)):
+            for j, value in enumerate(row):
+                out[i, j] = value
+        return out
+
     def periodicity_defect(self, samples: int = _PERIODICITY_SAMPLES) -> float:
-        """Max entrywise |eval(t + period) - eval(t)| over deterministic samples."""
+        """Max entrywise |eval(t + period) - eval(t)| over deterministic
+        samples; ``inf`` if any sampled value is not finite."""
         rng = np.random.default_rng(20240801)
         ts = rng.uniform(0.0, self.period, size=samples)
-        worst = 0.0
-        for t in ts:
-            worst = max(worst, float(np.abs(self.eval(t + self.period) - self.eval(t)).max()))
-        return worst
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                now = self._eval_many(ts)
+                later = self._eval_many(ts + self.period)
+            except OverflowError:  # a power of Python floats, where numpy gives inf
+                return math.inf
+        if not (np.isfinite(now).all() and np.isfinite(later).all()):
+            return math.inf
+        return float(np.abs(later - now).max(initial=0.0))
 
 
 def _matrix_function(raw, n, period, path):
@@ -116,8 +160,13 @@ def _matrix_function(raw, n, period, path):
             except ExpressionSyntaxError as exc:
                 raise ValidationError(str(exc), f"{path}[{i}][{j}]") from exc
         rows.append(tuple(row))
-    mf = MatrixFunction(n, tuple(rows), period)
+    try:
+        mf = MatrixFunction(n, tuple(rows), period)
+    except (RecursionError, SyntaxError) as exc:
+        raise ValidationError("expressions nested too deeply to compile", path) from exc
     defect = mf.periodicity_defect()
+    if defect == math.inf:
+        raise ValidationError("coefficients are not finite at every sampled time", path)
     if defect > _PERIODICITY_ATOL:
         raise ValidationError(
             f"periodicity certificate failed: max |M(t+omega) - M(t)| = {defect:.3e} "

@@ -226,7 +226,7 @@ _OPS_LOCK = threading.Lock()
 def interval_operators(system: SystemSpec):
     """Per-interval operator caches for one period (built once per system).
 
-    Thread-safe: sweep workers analyze distinct systems concurrently.
+    Thread-safe, so library callers may analyze systems from several threads.
     """
     with _OPS_LOCK:
         ops = _OPS_CACHE.get(system)
@@ -287,9 +287,7 @@ class HypothesisReport:
 def _norm_integral(matfun, a, b):
     if b <= a:
         return 0.0
-    value, _ = quad(
-        lambda u: norm1(matfun.eval(u)), a, b, epsabs=1e-10, epsrel=1e-10, limit=400
-    )
+    value, _ = quad(matfun.norm1_at, a, b, epsabs=1e-10, epsrel=1e-10, limit=400)
     return value
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +266,45 @@ def test_sweep_requires_token_in_template(tmp_path, capsys):
 def test_sweep_bad_range_exit_1(capsys):
     assert main(["sweep", _spec("scalar_table_template"), "--param", "AC",
                  "--range", "nonsense", "--steps", "3"]) == 1
+
+
+def test_sweep_serial_matches_pooled_output(capsys):
+    # tests/data/scalar_table_sweep.csv was written by the earlier
+    # thread-pool implementation of sweep; the serial loop keeps its bytes.
+    expected = (Path(__file__).parent / "data" / "scalar_table_sweep.csv").read_text()
+    code = main(["sweep", _spec("scalar_table_template"), "--param", "AC",
+                 "--range=-2:2", "--steps", "17"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+# ------------------------------------------------- adversarial coefficients
+
+
+@pytest.mark.parametrize("entry", ["1e999*0", "exp(1000)*0", "2^2000*0"])
+def test_non_finite_coefficients_exit_1_promptly(tmp_path, capsys, entry):
+    doc = json.loads(scalar_doc(-0.3, 10.0 / 3.0))
+    doc["B"] = [[entry]]
+    path = _write(tmp_path, "nonfinite.json", json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_verify_advanced_anchor_at_impulse_passes(tmp_path, capsys):
+    # zeta_0 = t_1: the first interval reads x at its right end, before the
+    # impulse there, so the Q equation needs the left limit of Q.
+    doc = {
+        "n": 2,
+        "omega": 2.0,
+        "p": 2,
+        "times": [0.0, 0.8, 2.0],
+        "args": [0.8, 1.3],
+        "A": [["-0.3 + 0.2*sin(pi*t)", "0.1"], ["-0.1", "-0.2"]],
+        "B": [["0.15", "0.05*cos(pi*t)"], ["0", "0.1"]],
+        "impulses": [[[0.5, 0.1], [0.0, -0.3]], [[-0.2, 0.0], [0.1, 0.4]]],
+    }
+    path = _write(tmp_path, "advanced.json", json.dumps(doc))
+    assert main(["verify", path]) == 0
+    assert "all checks passed" in capsys.readouterr().out

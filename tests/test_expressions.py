@@ -137,3 +137,14 @@ def test_vectorized_evaluation_matches_scalar():
     vec = expr.evaluate(ts)
     scalars = np.array([expr.evaluate(float(t)) for t in ts])
     assert np.array_equal(vec, scalars)
+
+
+def test_non_finite_literal_rejected_at_its_position():
+    with pytest.raises(ExpressionSyntaxError, match="not finite") as err:
+        parse_expression("t + 1e999*0")
+    assert err.value.position == 4
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+        parse_expression("sin(" * 2000 + "t" + ")" * 2000)

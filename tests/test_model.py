@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from idepcag import (
     load_bundled_system,
     load_system,
 )
+from idepcag.expressions import parse_expression
+from idepcag.model import MatrixFunction
 from conftest import scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -149,3 +152,31 @@ def test_bundled_systems_all_load():
     for name in ("scalar_impulse", "sin_impulse", "rotation_2x2", "markus_yamabe"):
         system = load_bundled_system(name)
         assert system.n in (1, 2)
+
+
+@pytest.mark.parametrize("entry", ["exp(1000)*0", "2^2000*0"])
+def test_non_finite_coefficients_fail_the_certificate(entry):
+    # exp(1000) overflows to inf, and inf*0 is NaN at every sample; the
+    # constant power overflows in Python float arithmetic, which raises.
+    with pytest.raises(ValidationError, match="not finite"):
+        load_system(_doc(B=[[entry]]))
+
+
+def test_periodicity_defect_is_inf_on_non_finite_samples():
+    # exp(1000 t) overflows for t > 0.71, inside the sampled period [0, 2).
+    entries = ((parse_expression("exp(1000*t)"),),)
+    assert MatrixFunction(1, entries, 1.0).periodicity_defect() == math.inf
+
+
+def test_matrix_function_pickles_and_recompiles(my_system):
+    copy = pickle.loads(pickle.dumps(my_system.A))
+    assert copy == my_system.A
+    assert np.array_equal(copy.eval(0.7), my_system.A.eval(0.7))
+    assert copy.norm1_at(0.7) == my_system.A.norm1_at(0.7)
+
+
+def test_overlong_expression_is_a_validation_error():
+    # A 5000-term sum parses (sums are read iteratively) but nests too deeply
+    # to compile.
+    with pytest.raises(ValidationError, match=r"B: expressions nested too deeply"):
+        load_system(_doc(B=[[" + ".join(["0.1"] * 5000)]]))
