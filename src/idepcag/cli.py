@@ -167,11 +167,11 @@ def _trajectory_csv(traj):
 
 def _cmd_simulate(args):
     system = load_system(_read(args.spec))
-    if args.t_end <= 0:
-        raise _UsageError("--t-end must be positive")
+    if not 0 < args.t_end < np.inf:
+        raise _UsageError("--t-end must be positive and finite")
     dt_out = args.dt_out if args.dt_out is not None else args.t_end / 200.0
-    if dt_out <= 0:
-        raise _UsageError("--dt-out must be positive")
+    if not 0 < dt_out < np.inf:
+        raise _UsageError("--dt-out must be positive and finite")
     x0 = _parse_complex_list(args.x0, system.n)
     if args.method in ("cauchy", "both"):
         traj_c = solve_cauchy(system, x0, args.t_end, dt_out)

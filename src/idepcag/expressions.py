@@ -301,7 +301,13 @@ class _Parser:
                     "exponent must be a non-negative integer", pos
                 )
             self.advance()
-            return Pow(base, int(value))
+            try:
+                exponent = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ExpressionSyntaxError(
+                    f"exponent literal has too many digits ({len(value)})", pos
+                ) from None
+            return Pow(base, exponent)
         return base
 
     def atom(self):

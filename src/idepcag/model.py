@@ -212,8 +212,8 @@ class ArgumentGrid:
         return m * self.p + j, m, j
 
     def gamma(self, t: float) -> float:
-        k, m, j = self.locate(t)
-        return self.args[j] + m * self.omega
+        """Argument value ``gamma(t) = zeta_{k(t)}``; see ``gamma_at``."""
+        return gamma_at(self, t)[1]
 
     def time_at(self, k: int) -> float:
         """Global breakpoint ``t_k`` via the extension rule."""

@@ -29,6 +29,7 @@ __all__ = ["Trajectory", "solve_cauchy", "solve_direct", "max_discrepancy"]
 KIND_SAMPLE = "sample"
 KIND_LEFT = "left_limit"
 KIND_POST = "post_impulse"
+_CSV_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -65,76 +66,138 @@ class Trajectory:
         for j in range(1, self.n + 1):
             header += [f"re_x{j}", f"im_x{j}"]
         stream.write(",".join(header) + "\n")
-        for t, kind, state in zip(self.times, self.kinds, self.states):
-            cells = [f"{t:.12e}", kind]
-            for z in state:
-                cells += [f"{z.real:.12e}", f"{z.imag:.12e}"]
-            stream.write(",".join(cells) + "\n")
+        row = "%.12e,%s" + ",%.12e" * (2 * self.n) + "\n"
+        cells = np.ascontiguousarray(self.states, dtype=complex).view(float)
+        # Python floats take four times the memory of the array: convert a
+        # block of rows at a time.
+        for i in range(0, len(self.times), _CSV_BLOCK):
+            block = slice(i, i + _CSV_BLOCK)
+            for t, kind, values in zip(
+                self.times[block].tolist(), self.kinds[block], cells[block].tolist()
+            ):
+                stream.write(row % (t, kind, *values))
 
 
 def _near(a, b):
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
+def _near_many(a, b):
+    """``_near`` elementwise, bit for bit."""
+    return np.abs(a - b) <= 1e-9 * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def _check_span(t_end, dt_out):
+    if not (0 < t_end < np.inf and 0 < dt_out < np.inf):
+        raise ValueError("t_end and dt_out must be positive and finite")
+
+
 def _plan(system, t_end, dt_out):
     """Per-interval work plan: (k, t_start, t_stop, interior sample times,
-    has_impulse_at_stop)."""
-    grid = system.grid
-    breaks = [t for _, t in grid.breakpoints_between(0.0, t_end)]
-    samples = []
-    i = 1
-    while True:
-        t = i * dt_out
-        if t >= t_end or _near(t, t_end):
-            break
-        if not any(_near(t, b) for b in breaks):
-            samples.append(t)
-        i += 1
+    has_impulse_at_stop).
 
-    plan = []
-    k = 0
+    Samples are ``i * dt_out`` for ``i = 1, 2, ...`` up to the first one at
+    or ``_near`` ``t_end``, minus those ``_near`` a breakpoint; breakpoints
+    are sorted, so only the two neighbours of a sample can be near it.  Each
+    interval takes the samples strictly between its ends.  None of them is
+    near ``t_stop``: a stop is ``t_end``, a breakpoint up to
+    ``t_end (1 + 1e-15)``, or one further beyond, and a sample near that one
+    would also be near ``t_end``.
+    """
+    grid = system.grid
+    breaks = np.array([t for _, t in grid.breakpoints_between(0.0, t_end)])
+    # One past the last sample is at least t_end, so the stop test fires.
+    samples = np.arange(1, int(t_end / dt_out) + 3) * dt_out
+    stop = (samples >= t_end) | _near_many(samples, t_end)
+    samples = samples[: int(np.argmax(stop))]
+    if breaks.size:
+        right = np.searchsorted(breaks, samples)
+        left = np.maximum(right - 1, 0)
+        right = np.minimum(right, breaks.size - 1)
+        near = _near_many(samples, breaks[left]) | _near_many(samples, breaks[right])
+        samples = samples[~near]
+
+    bounds = []
     t_cursor = 0.0
     while t_cursor < t_end and not _near(t_cursor, t_end):
-        t_next = grid.time_at(k + 1)
+        t_next = grid.time_at(len(bounds) + 1)
         stops_at_break = t_next < t_end or _near(t_next, t_end)
         t_stop = t_next if stops_at_break else t_end
-        inside = [t for t in samples if t_cursor < t < t_stop and not _near(t, t_stop)]
-        plan.append((k, t_cursor, t_stop, inside, stops_at_break))
+        bounds.append((t_cursor, t_stop, stops_at_break))
         t_cursor = t_stop
-        k += 1
-    return plan
+    first = np.searchsorted(samples, [b[0] for b in bounds], side="right").tolist()
+    ends = np.searchsorted(samples, [b[1] for b in bounds], side="left").tolist()
+    return [
+        (k, t_start, t_stop, samples[lo:hi], stops_at_break)
+        for k, ((t_start, t_stop, stops_at_break), lo, hi) in enumerate(zip(bounds, first, ends))
+    ]
 
 
-def _finish(records, method, t_end, dt_out):
-    times = np.array([r[0] for r in records], dtype=float)
-    kinds = tuple(r[1] for r in records)
-    states = np.array([r[2] for r in records], dtype=complex)
-    return Trajectory(times, kinds, states, method, t_end, dt_out)
+def _assemble(system, x0, plan, propagate, method, t_end, dt_out):
+    """Records on the plan's schedule, with the impulse pair at each break.
+
+    ``propagate(k, t_start, t_stop, inside, x_k)`` returns the states at the
+    interior samples followed by the left limit at ``t_stop``, as rows.
+    """
+    rows = 1 + sum(len(inside) + (2 if impulse else 1) for *_, inside, impulse in plan)
+    times = np.empty(rows)
+    kinds = [KIND_SAMPLE]
+    states = np.empty((rows, system.n), dtype=complex)
+    factors = [system.impulse_factor(r) for r in range(1, system.p + 1)]
+    times[0] = 0.0
+    states[0] = x_k = x0
+    r = 1
+    for k, t_start, t_stop, inside, has_impulse in plan:
+        values = propagate(k, t_start, t_stop, inside, x_k)
+        m = len(inside)
+        times[r : r + m] = inside
+        states[r : r + m] = values[:m]
+        kinds += [KIND_SAMPLE] * m
+        r += m
+        left = values[m]
+        if has_impulse:
+            x_k = factors[k % system.p] @ left
+            times[r : r + 2] = t_stop
+            states[r] = left
+            states[r + 1] = x_k
+            kinds += [KIND_LEFT, KIND_POST]
+            r += 2
+        else:
+            times[r] = t_stop
+            states[r] = left
+            kinds.append(KIND_SAMPLE)
+            r += 1
+    return Trajectory(times, tuple(kinds), states, method, t_end, dt_out)
 
 
 def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
-    """Trajectory ``x(t) = W(t, 0) x0`` on the output grid plus breakpoints."""
-    if t_end <= 0 or dt_out <= 0:
-        raise ValueError("t_end and dt_out must be positive")
+    """Trajectory ``x(t) = W(t, 0) x0`` on the output grid plus breakpoints.
+
+    Every record time of every period is mapped into its base interval
+    first, so each base interval's dense output is read in one batch.
+    """
+    _check_span(t_end, dt_out)
     x0 = np.asarray(x0, dtype=complex).reshape(system.n)
     ops_base = interval_operators(system)
-    records = [(0.0, KIND_SAMPLE, x0.copy())]
-    x_k = x0.copy()
-    for k, t_start, t_stop, inside, has_impulse in _plan(system, t_end, dt_out):
-        ops = ops_base[k % system.p]
-        shift = (k // system.p) * system.omega
-        anchor = ops.E_left_inv @ x_k
-        for t in inside:
-            records.append((t, KIND_SAMPLE, ops.e_at(t - shift) @ anchor))
-        left = ops.e_at(t_stop - shift) @ anchor
-        if has_impulse:
-            post = system.impulse_factor(k + 1) @ left
-            records.append((t_stop, KIND_LEFT, left))
-            records.append((t_stop, KIND_POST, post))
-            x_k = post
-        else:
-            records.append((t_stop, KIND_SAMPLE, left))
-    return _finish(records, "cauchy", t_end, dt_out)
+    p = system.p
+    plan = _plan(system, t_end, dt_out)
+    local = [[] for _ in range(p)]
+    for k, _, t_stop, inside, _ in plan:
+        local[k % p].append(np.append(inside, t_stop) - (k // p) * system.omega)
+    blocks = [
+        ops.e_many(np.concatenate(times)) if times else None
+        for ops, times in zip(ops_base, local)
+    ]
+    used = [0] * p
+
+    def propagate(k, t_start, t_stop, inside, x_k):
+        j = k % p
+        m = len(inside) + 1
+        E = blocks[j][used[j] : used[j] + m]
+        used[j] += m
+        return E @ (ops_base[j].E_left_inv @ x_k)
+
+    return _assemble(system, x0, plan, propagate, "cauchy", t_end, dt_out)
 
 
 def _direct_anchor_value(system, k, x_k):
@@ -177,14 +240,11 @@ def _direct_anchor_value(system, k, x_k):
 
 def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
     """Independent trajectory oracle via per-interval direct integration."""
-    if t_end <= 0 or dt_out <= 0:
-        raise ValueError("t_end and dt_out must be positive")
+    _check_span(t_end, dt_out)
     x0 = np.asarray(x0, dtype=complex).reshape(system.n)
-    records = [(0.0, KIND_SAMPLE, x0.copy())]
-    x_k = x0.copy()
-    for k, t_start, t_stop, inside, has_impulse in _plan(system, t_end, dt_out):
-        v = _direct_anchor_value(system, k, x_k)
-        forcing_anchor = v.copy()
+
+    def propagate(k, t_start, t_stop, inside, x_k):
+        forcing_anchor = _direct_anchor_value(system, k, x_k).copy()
 
         def rhs(u, y):
             return system.A.eval(u) @ y + system.B.eval(u) @ forcing_anchor
@@ -200,17 +260,9 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
         )
         if not sol.success:
             raise NumericalError(f"interval integration failed: {sol.message}")
-        for t in inside:
-            records.append((t, KIND_SAMPLE, sol.sol(t)))
-        left = sol.y[:, -1]
-        if has_impulse:
-            post = system.impulse_factor(k + 1) @ left
-            records.append((t_stop, KIND_LEFT, left))
-            records.append((t_stop, KIND_POST, post))
-            x_k = post
-        else:
-            records.append((t_stop, KIND_SAMPLE, left))
-    return _finish(records, "direct", t_end, dt_out)
+        return np.array([sol.sol(t) for t in inside] + [sol.y[:, -1]])
+
+    return _assemble(system, x0, _plan(system, t_end, dt_out), propagate, "direct", t_end, dt_out)
 
 
 def max_discrepancy(a: Trajectory, b: Trajectory) -> float:

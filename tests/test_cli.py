@@ -292,6 +292,22 @@ def test_non_finite_coefficients_exit_1_promptly(tmp_path, capsys, entry):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_exponent_longer_than_int_digit_limit_exit_1(tmp_path, capsys):
+    doc = json.loads(scalar_doc(-0.3, 10.0 / 3.0))
+    doc["B"] = [["t^" + "1" * 5000]]
+    assert main(["analyze", _write(tmp_path, "long.json", json.dumps(doc))]) == 1
+    err = capsys.readouterr().err
+    assert "invalid system document" in err and "at position 2" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
+                                         ("--dt-out", "nan"), ("--dt-out", "inf")])
+def test_simulate_non_finite_times_exit_1(capsys, flag, value):
+    argv = ["simulate", _spec("scalar_impulse"), "--x0", "1", "--t-end", "2", flag, value]
+    assert main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_verify_advanced_anchor_at_impulse_passes(tmp_path, capsys):
     # zeta_0 = t_1: the first interval reads x at its right end, before the
     # impulse there, so the Q equation needs the left limit of Q.

@@ -40,6 +40,8 @@ def test_gamma_on_two_interval_grid(two_interval):
     # extension rule: interval 2 is [2.0, 2.8) with anchor 2.4
     assert gamma_at(grid, 2.5) == (2, pytest.approx(2.4))
     assert gamma_at(grid, -1.2) == (-1, pytest.approx(-0.5))
+    for t in (0.1, 0.8, 1.99, 2.5, -1.2):
+        assert grid.gamma(t) == gamma_at(grid, t)[1]
 
 
 def test_monodromy_product_order_scalar_b_zero():

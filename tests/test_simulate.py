@@ -1,12 +1,17 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idepcag import (
     eig,
+    interval_operators,
+    load_bundled_system,
     load_system,
     max_discrepancy,
     monodromy,
@@ -14,6 +19,8 @@ from idepcag import (
     solve_direct,
     w_local,
 )
+from idepcag.model import ArgumentGrid
+from idepcag.simulate import Trajectory, _near, _plan
 from conftest import sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -186,3 +193,198 @@ def test_invalid_arguments(scalar_system):
         solve_cauchy(scalar_system, [1.0], -1.0, 0.1)
     with pytest.raises(ValueError):
         solve_direct(scalar_system, [1.0], 1.0, 0.0)
+
+
+def test_non_finite_span_rejected(scalar_system):
+    for t_end, dt_out in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            solve_cauchy(scalar_system, [1.0], t_end, dt_out)
+        with pytest.raises(ValueError):
+            solve_direct(scalar_system, [1.0], t_end, dt_out)
+
+
+# ------------------------------------------------- references for the batch
+
+
+def _reference_plan(system, t_end, dt_out):
+    """The quadratic schedule: every sample against every breakpoint."""
+    grid = system.grid
+    breaks = [t for _, t in grid.breakpoints_between(0.0, t_end)]
+    samples = []
+    i = 1
+    while True:
+        t = i * dt_out
+        if t >= t_end or _near(t, t_end):
+            break
+        if not any(_near(t, b) for b in breaks):
+            samples.append(t)
+        i += 1
+
+    plan = []
+    k = 0
+    t_cursor = 0.0
+    while t_cursor < t_end and not _near(t_cursor, t_end):
+        t_next = grid.time_at(k + 1)
+        stops_at_break = t_next < t_end or _near(t_next, t_end)
+        t_stop = t_next if stops_at_break else t_end
+        inside = [t for t in samples if t_cursor < t < t_stop and not _near(t, t_stop)]
+        plan.append((k, t_cursor, t_stop, inside, stops_at_break))
+        t_cursor = t_stop
+        k += 1
+    return plan
+
+
+def _reference_cauchy(system, x0, t_end, dt_out):
+    """One ``e_at`` lookup per record: (times, kinds, states)."""
+    ops_base = interval_operators(system)
+    records = [(0.0, "sample", x0)]
+    x_k = x0
+    for k, _, t_stop, inside, has_impulse in _reference_plan(system, t_end, dt_out):
+        ops = ops_base[k % system.p]
+        shift = (k // system.p) * system.omega
+        anchor = ops.E_left_inv @ x_k
+        for t in inside:
+            records.append((t, "sample", ops.e_at(t - shift) @ anchor))
+        left = ops.e_at(t_stop - shift) @ anchor
+        if has_impulse:
+            x_k = system.impulse_factor(k + 1) @ left
+            records += [(t_stop, "left_limit", left), (t_stop, "post_impulse", x_k)]
+        else:
+            records.append((t_stop, "sample", left))
+    times, kinds, states = zip(*records)
+    return np.array(times), kinds, np.array(states)
+
+
+def _reference_csv(traj):
+    """The per-cell formatter."""
+    lines = [",".join(["t", "kind"] + [f"{p}_x{j}" for j in range(1, traj.n + 1)
+                                       for p in ("re", "im")])]
+    for t, kind, state in zip(traj.times, traj.kinds, traj.states):
+        cells = [f"{t:.12e}", kind]
+        for z in state:
+            cells += [f"{z.real:.12e}", f"{z.imag:.12e}"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _plan_cases(draw):
+    p = draw(st.integers(1, 3))
+    integer = draw(st.booleans())
+    if integer:
+        widths = [float(w) for w in draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))]
+    else:
+        widths = draw(st.lists(st.floats(0.05, 3.0), min_size=p, max_size=p))
+    times = [0.0]
+    for w in widths:
+        times.append(times[-1] + w)
+    args = []
+    for k in range(p):
+        where = draw(st.sampled_from(("left", "right", "inside")))
+        if where == "left":
+            args.append(times[k])
+        elif where == "right":
+            args.append(times[k + 1])
+        else:
+            args.append(times[k] + draw(st.floats(0.0, 1.0)) * (times[k + 1] - times[k]))
+    omega = times[-1]
+    grid = ArgumentGrid(omega=omega, p=p, times=tuple(times), args=tuple(args))
+    divisors = [omega / 20.0, omega / 7.0] + ([0.5] if integer else [])
+    dt_out = draw(st.one_of(st.sampled_from(divisors), st.floats(omega / 40.0, 1.5 * omega)))
+    # Samples within about the _near tolerance of a breakpoint.
+    dt_out *= 1.0 + draw(st.sampled_from((0.0, 0.0, 1e-11, -1e-11, 2e-10, -2e-10)))
+    periods = draw(st.integers(1, 10))
+    base = draw(st.sampled_from(("period", "break", "sample", "free")))
+    if base == "period":
+        t_end = periods * omega
+    elif base == "break":
+        t_end = grid.time_at(draw(st.integers(1, periods * p)))
+    elif base == "sample":
+        t_end = draw(st.integers(1, int(periods * omega / dt_out) + 1)) * dt_out
+    else:
+        t_end = draw(st.floats(1e-3, periods * omega))
+    t_end += draw(st.one_of(
+        st.sampled_from((0.0, 1e-10, -1e-10)),
+        st.floats(-1e-10, 1e-10),
+        st.floats(-2e-9, 2e-9).map(lambda r: r * max(1.0, t_end)),
+    ))
+    return SimpleNamespace(grid=grid), t_end, dt_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_cases())
+def test_plan_matches_quadratic_reference(case):
+    system, t_end, dt_out = case
+    got = [(k, a, b, list(inside), f) for k, a, b, inside, f in _plan(system, t_end, dt_out)]
+    assert got == _reference_plan(system, t_end, dt_out)
+
+
+ADVANCED_N3_P2_DOC = json.dumps({
+    "n": 3,
+    "omega": 2.0,
+    "p": 2,
+    "times": [0.0, 0.8, 2.0],
+    "args": [0.8, 1.3],   # advanced anchors: at the right endpoint, then interior
+    "A": [["-0.05", "0.3*sin(pi*t)", "0"],
+          ["-0.2", "0.02", "0.1*cos(pi*t)"],
+          ["0", "0.15", "-0.03"]],
+    "B": [["0.1", "0", "0.05*cos(pi*t)"], ["0", "-0.1", "0"], ["0.02", "0", "0.05"]],
+    "impulses": [[[0.1, 0, 0], [0, -0.1, 0.05], [0, 0, 0.02]],
+                 [[-0.05, 0.02, 0], [0, 0.03, 0], [0.01, 0, -0.04]]],
+    "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9},
+})
+
+
+@pytest.mark.parametrize("name, periods", [
+    ("scalar_impulse", 5), ("sin_impulse", 5), ("rotation_2x2", 5), ("markus_yamabe", 5),
+    ("advanced_n3_p2", 50),
+])
+def test_batched_cauchy_matches_per_sample_reference(name, periods):
+    if name == "advanced_n3_p2":
+        system = load_system(ADVANCED_N3_P2_DOC)
+    else:
+        system = load_bundled_system(name)
+    x0 = np.linspace(1.0, -0.5, system.n) + 0.25j
+    t_end, dt_out = periods * system.omega, system.omega / 20.0
+    traj = solve_cauchy(system, x0, t_end, dt_out)
+    times, kinds, states = _reference_cauchy(system, x0, t_end, dt_out)
+    assert traj.kinds == kinds
+    assert np.array_equal(traj.times, times)
+    gap = np.abs(traj.states - states).max(axis=1)
+    assert np.all(gap <= 1e-13 * np.abs(states).max(axis=1))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2e-310, 2.2250738585072014e-308, 1e-300, -1e300,
+                  1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan,
+                  1.0 / 3.0, -123456.789012345678]
+
+
+def _trajectory(times, values, n):
+    values = np.asarray(values, dtype=float).reshape(len(times), 2 * n)
+    states = np.empty((len(times), n), dtype=complex)
+    states.real, states.imag = values[:, 0::2], values[:, 1::2]
+    kinds = tuple(("sample", "left_limit", "post_impulse")[i % 3] for i in range(len(times)))
+    return Trajectory(np.array(times, dtype=float), kinds, states, "cauchy", 1.0, 0.1)
+
+
+def test_csv_bytes_match_per_cell_formatter_on_special_values():
+    m = len(SPECIAL_FLOATS)
+    values = [SPECIAL_FLOATS[(i * 5 + 3) % m] for i in range(m * 4)]
+    traj = _trajectory(SPECIAL_FLOATS, values, 2)
+    buffer = io.StringIO()
+    traj.write_csv(buffer)
+    assert buffer.getvalue() == _reference_csv(traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=36, max_size=36),
+)))
+def test_csv_bytes_match_per_cell_formatter(case):
+    n, times, values = case
+    traj = _trajectory(times, values[: 2 * n * len(times)], n)
+    buffer = io.StringIO()
+    traj.write_csv(buffer)
+    assert buffer.getvalue() == _reference_csv(traj)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from idepcag import (
     norm1,
     w_local,
 )
-from conftest import scalar_doc
+from conftest import scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +124,22 @@ def test_interval_operator_rejects_outside_time(rotation_system):
     ops = interval_operators(rotation_system)[0]
     with pytest.raises(ValueError):
         ops.e_at(TWO_PI + 0.5)
+
+
+def test_e_many_matches_e_at_on_both_branches():
+    doc = json.loads(sin_doc(0.7))
+    doc["args"] = [0.5]  # interior anchor: backward and forward dense output
+    ops = interval_operators(load_system(json.dumps(doc)))[0]
+    ts = np.array([0.0, 0.1, 0.5, 0.5 + 1e-13, 0.77, 1.0, 1.0 + 1e-10, -1e-10, 0.5])
+    stacked = ops.e_many(ts)
+    assert stacked.shape == (ts.size, 1, 1)
+    for t, E in zip(ts, stacked):
+        assert np.abs(E - ops.e_at(t)).max() <= 1e-13 * np.abs(E).max()
+    assert np.array_equal(stacked[2], np.eye(1))
+    assert ops.e_many([]).shape == (0, 1, 1)
+    for bad in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="outside interval"):
+            ops.e_many([0.2, bad])
 
 
 def test_singular_j_anchor_is_hard_error():
