@@ -173,10 +173,13 @@ def _cmd_simulate(args):
     if not 0 < dt_out < np.inf:
         raise _UsageError("--dt-out must be positive and finite")
     x0 = _parse_complex_list(args.x0, system.n)
-    if args.method in ("cauchy", "both"):
-        traj_c = solve_cauchy(system, x0, args.t_end, dt_out)
-    if args.method in ("direct", "both"):
-        traj_d = solve_direct(system, x0, args.t_end, dt_out)
+    try:
+        if args.method in ("cauchy", "both"):
+            traj_c = solve_cauchy(system, x0, args.t_end, dt_out)
+        if args.method in ("direct", "both"):
+            traj_d = solve_direct(system, x0, args.t_end, dt_out)
+    except ValueError as exc:  # a horizon past simulate.MAX_RECORDS
+        raise _UsageError(str(exc)) from exc
     if args.method == "cauchy":
         _write_out(_trajectory_csv(traj_c), args.out)
     elif args.method == "direct":

@@ -15,6 +15,7 @@ variant ``(1/(2 omega)) Log X(omega)^2`` yields a real generator with a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -243,10 +244,6 @@ def q_factor(system: SystemSpec, P: np.ndarray, t: float) -> np.ndarray:
     return cauchy_matrix(system, t) @ expm(-P * t)
 
 
-def _q_factor_left(system, P, t):
-    return cauchy_matrix_left(system, t) @ expm(-P * t)
-
-
 @dataclass(frozen=True)
 class NormalFormResiduals:
     """Max-norm residuals of the factorization identities over samples.
@@ -303,6 +300,10 @@ def verify_normal_form(
 
     and the reduction residual of ``Y = Q^{-1} X`` against ``Y' = P Y``.
     Report-only: nothing raises on a large residual.
+
+    ``W``, ``Q``, the left limit of ``Q`` and ``Y`` are computed once per
+    distinct time within one call: the stencils, the samples and the
+    impulse checks share times.
     """
     omega = system.omega
     X_omega = monodromy(system)
@@ -311,8 +312,10 @@ def verify_normal_form(
     factor = 2 if real else 1
     ts = _interior_samples(system, samples)
 
-    W = lambda t: cauchy_matrix(system, t)
-    Q = lambda t: q_factor(system, P, t)
+    W = functools.cache(lambda u: cauchy_matrix(system, u))
+    Q = functools.cache(lambda u: W(u) @ expm(-P * u))
+    Q_left = functools.cache(lambda u: cauchy_matrix_left(system, u) @ expm(-P * u))
+    Y = functools.cache(lambda u: inv(Q(u)) @ W(u))
 
     factorization = max(norm1(W(t + omega) - W(t) @ X_omega) for t in ts)
     q_periodicity = max(norm1(Q(t + factor * omega) - Q(t)) for t in ts)
@@ -320,7 +323,7 @@ def verify_normal_form(
     impulse = 0.0
     for k in range(1, system.p + 1):
         tk = system.grid.times[k]
-        jump = q_factor(system, P, tk) - system.impulse_factor(k) @ _q_factor_left(system, P, tk)
+        jump = Q(tk) - system.impulse_factor(k) @ Q_left(tk)
         impulse = max(impulse, norm1(jump))
 
     h = _FD_STEP
@@ -334,11 +337,7 @@ def verify_normal_form(
         gamma = grid.args[j] + m * omega
         # An anchor at the interval's right end is read before that
         # breakpoint's impulse: the equation needs the left limit there.
-        q_gamma = (
-            _q_factor_left(system, P, gamma)
-            if grid.args[j] == grid.times[j + 1]
-            else q_factor(system, P, gamma)
-        )
+        q_gamma = Q_left(gamma) if grid.args[j] == grid.times[j + 1] else Q(gamma)
         rhs = (
             system.A.eval(t) @ Q(t)
             - Q(t) @ P
@@ -346,7 +345,6 @@ def verify_normal_form(
         )
         q_resid = max(q_resid, norm1(dQ - rhs))
         q_scale = max(q_scale, norm1(rhs))
-        Y = lambda u: inv(q_factor(system, P, u)) @ cauchy_matrix(system, u)
         reduction = max(reduction, norm1(_fd5(Y, t, h) - P @ Y(t)))
 
     return NormalFormResiduals(

@@ -2,11 +2,12 @@
 
 ``solve_cauchy`` propagates with the cached transition operators (the same
 machinery that builds the monodromy matrix).  ``solve_direct`` is a
-deliberately independent oracle: per interval it resolves the value at the
-argument anchor by a linear solve against ``J`` (this is what makes the
-advanced argument well posed), then integrates the resulting inhomogeneous
-ODE with a different stepper (DOP853 instead of RK45), and applies the
-impulse at the right endpoint.
+deliberately independent oracle by its formulation, although it uses the
+same DOP853 stepper: per interval it resolves the value at the argument
+anchor by a linear solve against ``J`` (this is what makes the advanced
+argument well posed), then integrates the resulting inhomogeneous state
+ODE, not the matrix operators, and applies the impulse at the right
+endpoint.
 
 Output grids always include every breakpoint in range with a paired
 left-limit / post-impulse record, so consumers can plot the jumps
@@ -30,6 +31,9 @@ KIND_SAMPLE = "sample"
 KIND_LEFT = "left_limit"
 KIND_POST = "post_impulse"
 _CSV_BLOCK = 512
+#: Most records a trajectory may ask for.  A longer horizon is refused
+#: before the schedule is built, which walks one step per breakpoint.
+MAX_RECORDS = 10**7
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,16 @@ def _near_many(a, b):
     return np.abs(a - b) <= 1e-9 * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
-def _check_span(t_end, dt_out):
+def _check_span(system, t_end, dt_out):
     if not (0 < t_end < np.inf and 0 < dt_out < np.inf):
         raise ValueError("t_end and dt_out must be positive and finite")
+    # Samples plus a left-limit / post-impulse pair per breakpoint.
+    records = t_end / dt_out + 2 * system.p * t_end / system.omega
+    if records > MAX_RECORDS:
+        raise ValueError(
+            f"t_end = {t_end!r} with dt_out = {dt_out!r} asks for about "
+            f"{records:.3g} records, more than {MAX_RECORDS}"
+        )
 
 
 def _plan(system, t_end, dt_out):
@@ -176,7 +187,7 @@ def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
     Every record time of every period is mapped into its base interval
     first, so each base interval's dense output is read in one batch.
     """
-    _check_span(t_end, dt_out)
+    _check_span(system, t_end, dt_out)
     x0 = np.asarray(x0, dtype=complex).reshape(system.n)
     ops_base = interval_operators(system)
     p = system.p
@@ -240,7 +251,7 @@ def _direct_anchor_value(system, k, x_k):
 
 def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
     """Independent trajectory oracle via per-interval direct integration."""
-    _check_span(t_end, dt_out)
+    _check_span(system, t_end, dt_out)
     x0 = np.asarray(x0, dtype=complex).reshape(system.n)
 
     def propagate(k, t_start, t_stop, inside, x_k):

@@ -269,13 +269,34 @@ def test_sweep_bad_range_exit_1(capsys):
 
 
 def test_sweep_serial_matches_pooled_output(capsys):
-    # tests/data/scalar_table_sweep.csv was written by the earlier
-    # thread-pool implementation of sweep; the serial loop keeps its bytes.
+    # tests/data/scalar_table_sweep.csv pins the sweep's bytes, roundoff
+    # included; it was last written by the serial sweep after the transition
+    # layer moved to DOP853, which changed three cells in the last digits.
     expected = (Path(__file__).parent / "data" / "scalar_table_sweep.csv").read_text()
     code = main(["sweep", _spec("scalar_table_template"), "--param", "AC",
                  "--range=-2:2", "--steps", "17"])
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_sweep_table_matches_closed_form(capsys):
+    # x' = (AC/2 - 1) x([t]) on [0, 1) takes x0 to x0 AC/2, and the impulse
+    # doubles it: the multiplier is AC and the Lyapunov exponent log|AC|.
+    # AC = 0 makes J(1, 0) = AC/2 vanish at the right anchor.
+    assert main(["sweep", _spec("scalar_table_template"), "--param", "AC",
+                 "--range=-2:2", "--steps", "17"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 17
+    for i, line in enumerate(rows):
+        value, multiplier, lyapunov, verdict, _ = line.split(",")
+        ac = -2.0 + 0.25 * i
+        assert float(value) == ac
+        if ac == 0.0:
+            assert (multiplier, lyapunov) == ("", "")
+            assert verdict.startswith("Error: J(t_{k+1}; zeta_k) is singular on interval 0")
+            continue
+        assert abs(complex(multiplier.replace("i", "j")) - ac) <= 1e-12
+        assert abs(float(lyapunov) - math.log(abs(ac))) <= 1e-12
 
 
 # ------------------------------------------------- adversarial coefficients
@@ -306,6 +327,17 @@ def test_simulate_non_finite_times_exit_1(capsys, flag, value):
     argv = ["simulate", _spec("scalar_impulse"), "--x0", "1", "--t-end", "2", flag, value]
     assert main(argv) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_horizon_past_record_limit_exit_1_promptly(capsys):
+    # Before the record limit, the schedule walked all 3e7 breakpoints of
+    # this horizon one Python step at a time before anything checked it.
+    argv = ["simulate", _spec("scalar_impulse"), "--x0", "1",
+            "--t-end", "3e7", "--dt-out", "1e-3"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "records, more than" in capsys.readouterr().err
 
 
 def test_verify_advanced_anchor_at_impulse_passes(tmp_path, capsys):

@@ -19,6 +19,7 @@ from idepcag import (
     solve_direct,
     w_local,
 )
+from idepcag import simulate
 from idepcag.model import ArgumentGrid
 from idepcag.simulate import Trajectory, _near, _plan
 from conftest import sin_doc
@@ -201,6 +202,17 @@ def test_non_finite_span_rejected(scalar_system):
             solve_cauchy(scalar_system, [1.0], t_end, dt_out)
         with pytest.raises(ValueError):
             solve_direct(scalar_system, [1.0], t_end, dt_out)
+
+
+def test_horizon_past_record_limit_rejected(scalar_system, monkeypatch):
+    # scalar_impulse: omega = 1, p = 1.  The estimate t_end / dt_out +
+    # 2 p t_end / omega is 16 at t_end = 4, dt_out = 0.5, an upper bound
+    # on the 13 records (half the samples fall on breakpoints).
+    monkeypatch.setattr(simulate, "MAX_RECORDS", 16)
+    assert len(solve_cauchy(scalar_system, [1.0], 4.0, 0.5).times) == 13
+    for solver in (solve_cauchy, solve_direct):
+        with pytest.raises(ValueError, match="records, more than 16"):
+            solver(scalar_system, [1.0], 4.0, 0.25)
 
 
 # ------------------------------------------------- references for the batch

@@ -126,6 +126,19 @@ def test_interval_operator_rejects_outside_time(rotation_system):
         ops.e_at(TWO_PI + 0.5)
 
 
+@pytest.mark.parametrize("read", ["phi_at", "j_at", "e_at"])
+def test_interval_operator_rejects_nan_time(rotation_system, read):
+    ops = interval_operators(rotation_system)[0]
+    with pytest.raises(ValueError, match="outside interval"):
+        getattr(ops, read)(math.nan)
+
+
+def test_w_local_rejects_nan_time(rotation_system):
+    for s, t in ((0.0, math.nan), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="outside interval"):
+            w_local(rotation_system, 0, s, t)
+
+
 def test_e_many_matches_e_at_on_both_branches():
     doc = json.loads(sin_doc(0.7))
     doc["args"] = [0.5]  # interior anchor: backward and forward dense output
