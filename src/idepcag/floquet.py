@@ -189,6 +189,17 @@ def _unit_band_semisimple(X, rho, band):
     return True
 
 
+def _periodic_power(X, tol, n_max):
+    """Smallest ``n <= n_max`` with ``norm1(X^n - I) <= tol``, or None."""
+    ident = np.eye(X.shape[0])
+    Xn = ident
+    for n in range(1, n_max + 1):
+        Xn = Xn @ X
+        if norm1(Xn - ident) <= tol:
+            return n
+    return None
+
+
 def classify(
     multipliers: np.ndarray,
     X: np.ndarray,
@@ -210,14 +221,11 @@ def classify(
         return Verdict(UNBOUNDED)
     if np.all(mods < 1.0 - band):
         return Verdict(EXPONENTIALLY_STABLE)
-    ident = np.eye(X.shape[0])
-    if norm1(X - ident) <= tol:
+    n = _periodic_power(X, tol, max(n_max, 1))
+    if n == 1:
         return Verdict(PERIODIC_OMEGA)
-    Xn = X.copy()
-    for n in range(2, n_max + 1):
-        Xn = Xn @ X
-        if norm1(Xn - ident) <= tol:
-            return Verdict(PERIODIC_N_OMEGA, n)
+    if n is not None:
+        return Verdict(PERIODIC_N_OMEGA, n)
     if _unit_band_semisimple(X, multipliers, band):
         return Verdict(BOUNDED_NON_PERIODIC)
     return Verdict(MARGINAL_DEFECTIVE)
@@ -471,15 +479,7 @@ def closed_form_diagonal(system: SystemSpec) -> DiagonalClosedForm:
 def periodic_solution_test(system: SystemSpec, n_max: int = N_MAX_DEFAULT):
     """Smallest N <= n_max with ``X(omega)^N = I`` to the algebraic
     tolerance, or None."""
-    X = monodromy(system)
-    tol = system.tolerances.alg
-    ident = np.eye(system.n)
-    Xn = np.eye(system.n)
-    for n in range(1, n_max + 1):
-        Xn = Xn @ X
-        if norm1(Xn - ident) <= tol:
-            return n
-    return None
+    return _periodic_power(monodromy(system), system.tolerances.alg, n_max)
 
 
 @dataclass(frozen=True)
@@ -544,9 +544,11 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     Biperiodicity of Phi/J/E and the cocycle and Liouville identities are
     evaluated by fresh integrations (not by the cached operators, which are
     periodic by construction), so a miscoupled period or a sloppy tolerance
-    actually shows up.  Returns an ordered list of ``ResidualCheck``.
+    actually shows up.  The three biperiodicity checks share one coupled
+    Phi/J/E integration at ``(s, t)`` and one at ``(s + omega, t + omega)``
+    per pair.  Returns an ordered list of ``ResidualCheck``.
     """
-    from .transition import e_matrix, fundamental_matrix, j_matrix
+    from .transition import _flow_matrices, fundamental_matrix
 
     omega = system.omega
     rng = np.random.default_rng(seed)
@@ -555,18 +557,15 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     def add(name, value, threshold):
         checks.append(ResidualCheck(name, float(value), threshold, bool(value <= threshold)))
 
-    for name, op, threshold in (
-        ("biperiodicity_phi", fundamental_matrix, 1e-7),
-        ("biperiodicity_j", j_matrix, 1e-7),
-        ("biperiodicity_e", e_matrix, 1e-7),
-    ):
-        worst = 0.0
-        for _ in range(pairs):
-            s, t = rng.uniform(0.0, omega, size=2)
-            worst = max(
-                worst, norm1(op(system, s + omega, t + omega) - op(system, s, t))
-            )
-        add(name, worst, threshold)
+    names = ("biperiodicity_phi", "biperiodicity_j", "biperiodicity_e")
+    worst = [0.0, 0.0, 0.0]
+    for _ in range(pairs):
+        s, t = rng.uniform(0.0, omega, size=2)
+        base = _flow_matrices(system, s, t)
+        shifted = _flow_matrices(system, s + omega, t + omega)
+        worst = [max(w, norm1(a - b)) for w, a, b in zip(worst, shifted, base)]
+    for name, value in zip(names, worst):
+        add(name, value, 1e-7)
 
     worst = 0.0
     for _ in range(pairs):
@@ -589,20 +588,9 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     add("liouville", worst, 1e-8)
 
     X = monodromy(system)
-    add(
-        "monodromy_vs_cauchy",
-        norm1(X - cauchy_matrix(system, omega)) / max(1.0, norm1(X)),
-        1e-8,
-    )
-    data = floquet_exponents(X, omega)
-    det_X = np.linalg.det(X.astype(complex))
-    add(
-        "det_vs_multipliers",
-        abs(np.prod(data.multipliers) - det_X) / max(abs(det_X), 1e-300),
-        1e-8,
-    )
     P = floquet_P(X, omega)
-    add("expm_p_roundtrip", norm1(expm(P * omega) - X) / max(1.0, norm1(X)), 1e-8)
+    for name, value in _spectral_residuals(system, X, floquet_exponents(X, omega), P).items():
+        add(name, value, 1e-8)
 
     nf = verify_normal_form(system, P=P)
     add("factorization", nf.factorization, 1e-6)
@@ -613,10 +601,20 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     return checks
 
 
+def _spectral_residuals(system, X, data, P):
+    """Relative residuals of ``X = W(omega, 0)``, ``det X = prod rho`` and
+    ``expm(P omega) = X``, as ``analyze`` reports and ``verify`` checks them."""
+    det_X = np.linalg.det(X.astype(complex))
+    return {
+        "monodromy_vs_cauchy": norm1(X - cauchy_matrix(system, system.omega)) / max(1.0, norm1(X)),
+        "det_vs_multipliers": abs(np.prod(data.multipliers) - det_X) / max(abs(det_X), 1e-300),
+        "expm_p_roundtrip": norm1(expm(P * system.omega) - X) / max(1.0, norm1(X)),
+    }
+
+
 def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
     """Monodromy, multipliers, exponents, generator and stability verdict."""
     X = monodromy(system)
-    W_omega = cauchy_matrix(system, system.omega)
     data = floquet_exponents(X, system.omega)
     verdict = classify(data.multipliers, X, system.tolerances.alg, n_max=n_max)
     P = floquet_P(X, system.omega)
@@ -624,13 +622,6 @@ def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
         P_real = floquet_P_real(X, system.omega)
     except RealificationError:
         P_real = None
-
-    det_X = np.linalg.det(X.astype(complex))
-    residuals = {
-        "monodromy_vs_cauchy": norm1(X - W_omega) / max(1.0, norm1(X)),
-        "det_vs_multipliers": abs(np.prod(data.multipliers) - det_X) / max(abs(det_X), 1e-300),
-        "expm_p_roundtrip": norm1(expm(P * system.omega) - X) / max(1.0, norm1(X)),
-    }
     return FloquetReport(
         n=system.n,
         omega=system.omega,
@@ -643,5 +634,5 @@ def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
         verdict=verdict,
         oscillatory=is_oscillatory(data.multipliers),
         hypothesis=hypothesis_check(system),
-        residuals=residuals,
+        residuals=_spectral_residuals(system, X, data, P),
     )

@@ -1,11 +1,10 @@
 """Dense complex matrix kernel: inverses, spectra, expm, principal logm.
 
 Matrices are plain ``numpy.ndarray``s (real or complex, square).  LU-based
-inversion/determinants and the eigensolver sit on LAPACK via numpy/scipy;
-the matrix exponential (Pade-13 scaling and squaring) and principal
-logarithm (eigendecomposition path with an inverse-scaling-and-squaring
-fallback) are implemented here because their branch and accuracy contracts
-are load-bearing for the Floquet factorization.
+inversion/determinants, the eigensolver, the exponential and the logarithm
+of defective matrices come from LAPACK via numpy/scipy; the branch, pivot
+and spectral-order policies that the Floquet factorization relies on live
+here.
 
 Eigenvalues are always reported sorted by descending modulus, then
 ascending argument, so downstream reports are deterministic.
@@ -45,7 +44,7 @@ class SingularMatrixError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration exhausted its budget without meeting its tolerance."""
+    """A kernel found no answer: no convergence, or no principal branch."""
 
 
 class RealificationError(NumericalError):
@@ -163,52 +162,9 @@ def eig(M) -> Spectrum:
     return Spectrum(values, vectors, cond)
 
 
-# Pade-13 coefficients for expm (scaling so that norm1(M / 2^s) <= theta13).
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.4
-
-
 def expm(M):
-    """Matrix exponential by scaling and squaring with a Pade-13 core."""
-    M = _square(M)
-    dtype = complex if np.iscomplexobj(M) else float
-    A = M.astype(dtype)
-    n = A.shape[0]
-    ident = np.eye(n, dtype=dtype)
-
-    nrm = norm1(A)
-    if nrm == 0.0:
-        return ident.copy()
-    s = max(0, int(np.ceil(np.log2(nrm / _THETA13)))) if nrm > _THETA13 else 0
-    A = A / (2.0**s)
-
-    b = _PADE13_B
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
+    """Matrix exponential (scipy's scaling and squaring, Al-Mohy & Higham 2009)."""
+    return scipy.linalg.expm(_square(M))
 
 
 def _principal_log_scalar(z):
@@ -220,35 +176,10 @@ def _principal_log_scalar(z):
     return complex(np.log(z))
 
 
-def _db_sqrt(M, max_iter=60, rtol=1e-15):
-    """Principal square root by the Denman-Beavers iteration."""
-    Y = M.astype(complex)
-    Z = np.eye(M.shape[0], dtype=complex)
-    for _ in range(max_iter):
-        Y_next = 0.5 * (Y + inv(Z))
-        Z_next = 0.5 * (Z + inv(Y))
-        delta = norm1(Y_next - Y)
-        Y, Z = Y_next, Z_next
-        if delta <= rtol * max(norm1(Y), 1.0):
-            return Y
-    raise ConvergenceError("square-root iteration did not converge")
-
-
-def _log_pade7(G):
-    # Gauss-Legendre 7-point evaluation of log(I + G); valid for norm1(G) <= ~0.3.
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-    nodes = (nodes + 1.0) / 2.0
-    weights = weights / 2.0
-    n = G.shape[0]
-    ident = np.eye(n, dtype=complex)
-    L = np.zeros((n, n), dtype=complex)
-    for x, w in zip(nodes, weights):
-        L += w * (G @ inv(ident + x * G))
-    return L
-
-
 _EIG_COND_SWITCH = 1e8
-_ISS_TARGET = 0.3
+# Eigenvalues of a defective matrix are accurate to about sqrt(eps) relative,
+# so an eigenvalue this close to the negative real axis may lie on it.
+_CUT_RTOL = 1e-6
 
 
 def logm_principal(M):
@@ -256,18 +187,17 @@ def logm_principal(M):
     imaginary parts in ``(-pi, pi]``.
 
     A diagonalization path is used while the eigenvector matrix is well
-    conditioned (condition number at most 1e8); otherwise the log is built
-    by inverse scaling and squaring: repeated Denman-Beavers principal
-    square roots until ``norm1(root - I) <= 0.3``, a Pade-7 evaluation of
-    ``log(I + X)``, then multiplication by ``2^s``.
+    conditioned (condition number at most 1e8).  Otherwise (defective or
+    nearly defective ``M``) the log comes from ``scipy.linalg.logm``, the
+    inverse scaling-and-squaring algorithm of Al-Mohy & Higham (2012).
 
     Raises
     ------
     SingularMatrixError
         If ``M`` is singular to tolerance (the log does not exist).
     ConvergenceError
-        If the square-root iteration stalls (e.g. defective matrices with
-        eigenvalues on the closed negative real axis).
+        If ``M`` is (nearly) defective with an eigenvalue on the closed
+        negative real axis, where no principal log exists.
     """
     M = _square(M)
     spec = eig(M)
@@ -279,15 +209,13 @@ def logm_principal(M):
         V = spec.eigenvectors
         return V @ np.diag(logvals) @ inv(V)
 
-    X = M.astype(complex)
-    s = 0
-    ident = np.eye(M.shape[0], dtype=complex)
-    while norm1(X - ident) > _ISS_TARGET:
-        if s >= 60:
-            raise ConvergenceError("inverse scaling-and-squaring exhausted its budget")
-        X = _db_sqrt(X)
-        s += 1
-    return (2.0**s) * _log_pade7(X - ident)
+    rho = spec.eigenvalues
+    if np.any((rho.real < 0) & (np.abs(rho.imag) <= _CUT_RTOL * np.abs(rho))):
+        raise ConvergenceError(
+            "no principal logarithm: defective matrix with an eigenvalue on "
+            "the closed negative real axis"
+        )
+    return scipy.linalg.logm(M)
 
 
 _REALIFY_ATOL = 1e-9

@@ -109,24 +109,25 @@ def fundamental_matrix(system: SystemSpec, s: float, t: float) -> np.ndarray:
     return sol.y[:, -1].reshape(n, n)
 
 
-def j_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
-    """``J(t, tau) = I + integral_tau^t Phi(tau, s) B(s) ds``."""
+def _flow_matrices(system, tau, t):
+    """``(Phi(t, tau), J(t, tau), E(t, tau))`` from one integration of the
+    coupled flow; all three are the identity at ``t == tau``."""
     n = system.n
     if t == tau:
-        return np.eye(n)
+        return np.eye(n), np.eye(n), np.eye(n)
     sol = _run_ivp(_flow_rhs(system), tau, t, _flow_initial(n), system.tolerances)
-    _, J = _split_flow(sol.y[:, -1], n)
-    return J
+    Z, J = _split_flow(sol.y[:, -1], n)
+    return Z, J, Z @ J
+
+
+def j_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
+    """``J(t, tau) = I + integral_tau^t Phi(tau, s) B(s) ds``."""
+    return _flow_matrices(system, tau, t)[1]
 
 
 def e_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
     """``E(t, tau) = Phi(t, tau) J(t, tau)``; ``E(tau, tau) = I``."""
-    n = system.n
-    if t == tau:
-        return np.eye(n)
-    sol = _run_ivp(_flow_rhs(system), tau, t, _flow_initial(n), system.tolerances)
-    Z, J = _split_flow(sol.y[:, -1], n)
-    return Z @ J
+    return _flow_matrices(system, tau, t)[2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,6 +96,43 @@ def test_analyze_singular_anchor_exit_3(tmp_path, capsys):
     assert main(["analyze", path]) == 3
 
 
+def _jordan_doc(impulse):
+    """x' = [[0, 1], [0, 0]] x, so X(omega) = (I + C) [[1, 1], [0, 1]] is defective."""
+    return json.dumps({
+        "n": 2,
+        "omega": 1.0,
+        "p": 1,
+        "times": [0.0, 1.0],
+        "args": [0.0],
+        "A": [["0", "1"], ["0", "0"]],
+        "B": [["0", "0"], ["0", "0"]],
+        "impulses": [[[impulse, 0.0], [0.0, impulse]]],
+        "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9},
+    })
+
+
+def test_analyze_defective_monodromy_takes_scipy_logm(tmp_path, capsys):
+    # The eigenvectors of a Jordan block are dependent, so P comes from
+    # the defective-matrix branch of logm_principal.
+    path = _write(tmp_path, "jordan.json", _jordan_doc(0.0))
+    code, report = _analyze_json(capsys, path)
+    assert code == 0
+    assert report["verdict"] == "MarginalDefective"
+    P = np.array([[complex(*z) for z in row] for row in report["P"]])
+    assert np.max(np.abs(P - np.array([[0.0, 1.0], [0.0, 0.0]]))) <= 1e-12
+
+
+def test_analyze_defective_monodromy_on_branch_cut_exit_3(tmp_path, capsys):
+    # Impulse factor -I: X(omega) is a Jordan block at -1, which has no
+    # principal logarithm.
+    path = _write(tmp_path, "jordan_cut.json", _jordan_doc(-2.0))
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("numerical failure:")
+
+
 def test_unknown_flag_exit_1(capsys):
     assert main(["analyze", _spec("sin_impulse"), "--frobnicate"]) == 1
 

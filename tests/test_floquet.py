@@ -23,6 +23,7 @@ from idepcag import (
     floquet_P_real,
     floquet_exponents,
     fundamental_matrix,
+    interval_operators,
     is_oscillatory,
     load_system,
     monodromy,
@@ -446,6 +447,39 @@ def test_structural_residuals_pass_on_bundled(sin_system):
     for expected in ("biperiodicity_phi", "cocycle", "liouville", "factorization",
                      "q_equation", "det_vs_multipliers"):
         assert expected in names
+
+
+def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_system, monkeypatch):
+    import idepcag.transition as transition
+
+    interval_operators(rotation_system)  # the cached operators integrate nothing below
+    calls = []
+    real_solve_ivp = transition.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(transition, "solve_ivp", counting)
+    checks = structural_residuals(rotation_system, pairs=2)
+    # biperiodicity: 2 pairs x 2 shifts; cocycle: 2 x 3; liouville: 2
+    assert len(calls) == 12
+    assert [(c.name, c.threshold) for c in checks] == [
+        ("biperiodicity_phi", 1e-7),
+        ("biperiodicity_j", 1e-7),
+        ("biperiodicity_e", 1e-7),
+        ("cocycle", 1e-8),
+        ("liouville", 1e-8),
+        ("monodromy_vs_cauchy", 1e-8),
+        ("det_vs_multipliers", 1e-8),
+        ("expm_p_roundtrip", 1e-8),
+        ("factorization", 1e-6),
+        ("q_periodicity", 1e-6),
+        ("impulse_consistency", 1e-6),
+        ("q_equation", 1e-5),
+        ("reduction", 1e-6),
+    ]
+    assert all(c.passed for c in checks)
 
 
 def test_structural_residuals_catch_broken_period(sin_system):

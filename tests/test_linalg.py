@@ -163,6 +163,11 @@ def test_expm_against_scipy():
         assert norm1(expm(M) - scipy.linalg.expm(M)) <= 1e-10 * max(1.0, norm1(scipy.linalg.expm(M)))
 
 
+def test_expm_rejects_non_finite():
+    with pytest.raises(ValueError):
+        expm(np.array([[np.nan]]))
+
+
 def test_expm_large_norm_scaling_path():
     rng = np.random.default_rng(6)
     M = _random_matrix(rng, 4, scale=8.0)  # forces several squarings
@@ -201,14 +206,14 @@ def test_logm_dual_paths_agree(monkeypatch):
     for _ in range(10):
         M = _random_matrix(rng, 3, complex_entries=False, scale=0.4) + 2.0 * np.eye(3)
         by_eig = logm_principal(M)
-        monkeypatch.setattr(la, "_EIG_COND_SWITCH", -1.0)  # force the ISS path
-        by_iss = logm_principal(M)
+        monkeypatch.setattr(la, "_EIG_COND_SWITCH", -1.0)  # force the scipy logm path
+        by_scipy = logm_principal(M)
         monkeypatch.undo()
-        assert norm1(by_eig - by_iss) <= 1e-9 * max(1.0, norm1(by_eig))
+        assert norm1(by_eig - by_scipy) <= 1e-9 * max(1.0, norm1(by_eig))
 
 
 def test_logm_defective_jordan_block():
-    # defective, so the eigendecomposition path is unusable; ISS is exact here
+    # defective, so the eigendecomposition path is unusable; scipy logm is exact here
     M = np.array([[1.0, 1.0], [0.0, 1.0]])
     L = logm_principal(M)
     assert np.allclose(L, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
@@ -229,9 +234,12 @@ def test_logm_singular_raises():
 
 
 def test_logm_negative_defective_fails_clearly():
-    M = np.array([[-1.0, 1.0], [0.0, -1.0]])  # defective, spectrum on the cut
-    with pytest.raises((ConvergenceError, SingularMatrixError)):
-        logm_principal(M)
+    J = np.array([[-1.0, 1.0], [0.0, -1.0]])  # defective, spectrum on the cut
+    S = np.array([[2.0, 1.0], [1.0, 3.0]])
+    # in this basis roundoff splits the double eigenvalue to -1 +- 7e-9j
+    for M in (J, S @ J @ np.linalg.inv(S)):
+        with pytest.raises((ConvergenceError, SingularMatrixError)):
+            logm_principal(M)
 
 
 # ------------------------------------------------------- logm_real_doubled
