@@ -381,8 +381,8 @@ def to_source(expr: Expression) -> str:
 
 
 #: The only names compiled source can reach: the numpy functions the tree
-#: calls, plus the builtins the matrix 1-norm needs.
-SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_abs": abs, "_max": max}
+#: calls.
+SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
 
 
 def compile_lambda(body: str):

@@ -64,41 +64,35 @@ class Tolerances:
     alg: float = 1e-9
 
 
-def _matrix_sources(entries):
-    """Source of the two compiled functions of a matrix of expressions: the
-    rows as a tuple of tuples, and the matrix 1-norm."""
+def _matrix_source(entries):
+    """Source of the compiled rows function: the rows as a tuple of tuples."""
     src = [[to_source(expr) for expr in row] for row in entries]
-    rows = "(" + "".join(f"({', '.join(row)},), " for row in src) + ")"
-    # Column sums accumulate row by row, as np.abs(M).sum(axis=0) does.
-    cols = [" + ".join(f"_abs({row[j]})" for row in src) for j in range(len(src))]
-    norm = cols[0] if len(cols) == 1 else f"_max({', '.join(cols)})"
-    return rows, norm
+    return "(" + "".join(f"({', '.join(row)},), " for row in src) + ")"
 
 
 @dataclass(frozen=True)
 class MatrixFunction:
     """n x n matrix of scalar expressions with a declared period.
 
-    The entries are compiled once, at construction, into two Python
-    functions of ``t`` (see ``expressions.to_source``): the rows as nested
-    tuples, and the matrix 1-norm.  Both perform the tree's own operations,
-    so ``eval`` is bitwise equal to evaluating ``entries`` one by one, and
-    ``norm1_at(t)`` to ``linalg.norm1(eval(t))``.
+    The entries are compiled once, at construction, into one Python
+    function of ``t`` that returns the rows as nested tuples (see
+    ``expressions.to_source``).  It performs the tree's own operations, so
+    ``eval`` is bitwise equal to evaluating ``entries`` one by one.
+    ``_eval_many`` runs the same function on an array of times; per point
+    it is bitwise equal too, except that numpy may round an integer power
+    of an array differently from a scalar one, by at most one ulp.
     """
 
     n: int
     entries: tuple  # tuple of tuples of Expression
     period: float
     _rows: object = field(init=False, repr=False, compare=False)
-    _norm1: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, norm = _matrix_sources(self.entries)
-        object.__setattr__(self, "_rows", compile_lambda(rows))
-        object.__setattr__(self, "_norm1", compile_lambda(norm))
+        object.__setattr__(self, "_rows", compile_lambda(_matrix_source(self.entries)))
 
     def __reduce__(self):
-        # The compiled functions are rebuilt from the entries on unpickling.
+        # The compiled function is rebuilt from the entries on unpickling.
         return (MatrixFunction, (self.n, self.entries, self.period))
 
     def __call__(self, t):
@@ -106,10 +100,6 @@ class MatrixFunction:
 
     def eval(self, t: float) -> np.ndarray:
         return np.array(self._rows(t), dtype=float)
-
-    def norm1_at(self, t: float) -> float:
-        """Matrix 1-norm of ``eval(t)`` without building the matrix."""
-        return self._norm1(t)
 
     def is_diagonal(self) -> bool:
         """True when every off-diagonal entry is structurally constant zero."""

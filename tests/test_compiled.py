@@ -30,8 +30,9 @@ from idepcag.expressions import (
     to_source,
 )
 from idepcag.linalg import norm1
-from idepcag.model import MatrixFunction, _matrix_sources
+from idepcag.model import MatrixFunction, _matrix_source
 from idepcag.serialize import canonical_json
+from idepcag.transition import _norm_samples
 
 _leaves = st.one_of(
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False).map(Const),
@@ -77,21 +78,53 @@ def _outcome(fn):
         return type(exc)
 
 
+def tree_eval_many(mf, ts):
+    """``tree_eval`` at every time of the array ``ts``, laid out as
+    ``MatrixFunction._eval_many``: shape ``(n, n) + ts.shape``."""
+    out = np.empty((mf.n, mf.n) + ts.shape, dtype=float)
+    for index in np.ndindex(ts.shape):
+        out[(slice(None), slice(None)) + index] = tree_eval(mf, ts[index])
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(matrices, times)
-def test_compiled_eval_and_norm_bitwise_equal_tree(entries, t):
+@given(matrices, st.lists(times, min_size=1, max_size=30))
+def test_compiled_eval_and_norm_bitwise_equal_tree(entries, ts):
     mf = MatrixFunction(len(entries), entries, 1.0)
-    for u in (t, np.float64(t)):
+    for u in (ts[0], np.float64(ts[0])):
         with np.errstate(all="ignore"):
             expected = _outcome(lambda: tree_eval(mf, u))
             got = _outcome(lambda: mf.eval(u))
-            norm = _outcome(lambda: mf.norm1_at(u))
         if isinstance(expected, type):
             assert got is expected
             continue
         assert got.tobytes() == expected.tobytes()
-        if np.all(np.isfinite(expected)):
-            assert np.float64(norm).tobytes() == np.float64(norm1(expected)).tobytes()
+    # The norm quadrature evaluates a 2-D array of times at once; every
+    # point must match the tree interpreter and linalg.norm1 bit for bit.
+    # Integer powers are the exception: numpy rounds an array power
+    # differently from a scalar one (test_batched_power_within_one_ulp).
+    exact = np.array([["**" not in to_source(expr) for expr in row] for row in entries])
+    ts = np.array(ts).reshape(-1, 1)[:, [0, 0, 0]]
+    with np.errstate(all="ignore"):
+        batch = mf._eval_many(ts)
+        norms = _norm_samples(mf, ts)[2]
+        for index in np.ndindex(ts.shape):
+            expected = _outcome(lambda: tree_eval(mf, ts[index]))
+            if isinstance(expected, type):
+                continue  # a Python float power overflowed where numpy gives inf
+            point = batch[(slice(None), slice(None)) + index]
+            assert point[exact].tobytes() == expected[exact].tobytes()
+            if exact.all() and np.all(np.isfinite(expected)):
+                assert norms[index].tobytes() == np.float64(norm1(expected)).tobytes()
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 4, 7])
+def test_batched_power_within_one_ulp(exponent):
+    mf = MatrixFunction(1, ((Pow(Var(), exponent),),), 1.0)
+    ts = np.random.default_rng(exponent).uniform(-20.0, 20.0, size=(400, 15))
+    batch = mf._eval_many(ts)[0, 0]
+    scalar = np.vectorize(lambda t: mf.eval(t)[0, 0])(ts)
+    assert np.all(np.abs(batch - scalar) <= np.spacing(np.abs(scalar)))
 
 
 _ALLOWED_NAMES = {"t", *SOURCE_NAMES}
@@ -123,16 +156,14 @@ def test_emitted_source_uses_only_whitelisted_tokens(entries):
     for row in entries:
         for expr in row:
             _assert_whitelisted(to_source(expr))
-    for body in _matrix_sources(entries):
-        _assert_whitelisted(body)
+    _assert_whitelisted(_matrix_source(entries))
 
 
 def test_emitted_source_of_bundled_systems_is_whitelisted():
     for name in pk.BUNDLED_SYSTEMS:
         system = pk.load_bundled_system(name)
         for mf in (system.A, system.B):
-            for body in _matrix_sources(mf.entries):
-                _assert_whitelisted(body)
+            _assert_whitelisted(_matrix_source(mf.entries))
 
 
 def test_emitter_refuses_non_finite_constants():
@@ -157,6 +188,6 @@ def _analyze_json(name):
 def test_analyze_reports_identical_to_tree_interpreter(monkeypatch):
     compiled = {name: _analyze_json(name) for name in pk.BUNDLED_SYSTEMS}
     monkeypatch.setattr(MatrixFunction, "eval", tree_eval)
-    monkeypatch.setattr(MatrixFunction, "norm1_at", lambda mf, t: norm1(tree_eval(mf, t)))
+    monkeypatch.setattr(MatrixFunction, "_eval_many", tree_eval_many)
     for name in pk.BUNDLED_SYSTEMS:
         assert _analyze_json(name) == compiled[name], name

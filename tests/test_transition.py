@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from idepcag import (
     SingularMatrixError,
@@ -16,6 +19,7 @@ from idepcag import (
     norm1,
     w_local,
 )
+from idepcag import transition
 from conftest import scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -250,3 +254,234 @@ def test_hypothesis_scalar_bundled_exceeds_bound(scalar_system):
     report = hypothesis_check(scalar_system)
     assert not report.passed
     assert report.nu_minus_sup == pytest.approx(1.3, abs=1e-9)
+
+
+# ------------------------------------------------- norm quadrature (gk15)
+
+
+def _doc(A, B=None, times=(0.0, 1.0), args=(0.0,)):
+    n = len(A)
+    return json.dumps({
+        "n": n,
+        "omega": times[-1],
+        "p": len(args),
+        "times": list(times),
+        "args": list(args),
+        "A": A,
+        "B": B or [["0"] * n for _ in range(n)],
+        "impulses": [np.zeros((n, n)).tolist() for _ in args],
+    })
+
+
+def _halves(system):
+    grid = system.grid
+    out = []
+    for k in range(system.p):
+        out += [(grid.times[k], grid.args[k]), (grid.args[k], grid.times[k + 1])]
+    return out
+
+
+def _within_goal(got, expected):
+    return abs(got - expected) <= max(1e-10, 1e-10 * abs(expected))
+
+
+def test_gauss_kronrod_rule_is_qk15():
+    nodes, (kronrod, gauss) = transition._GK_NODES, transition._GK_WEIGHTS
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(7)
+    assert nodes[0] == -1.0 and nodes[-1] == 1.0
+    assert np.allclose(nodes[2:-1:2], gauss_x, rtol=0, atol=1e-15)
+    assert np.allclose(gauss[2:-1:2], gauss_w, rtol=0, atol=1e-15)
+    assert not gauss[1::2].any() and not kronrod[[0, -1]].any()
+    for degree in range(24):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert kronrod @ nodes**degree == pytest.approx(exact, abs=1e-15)
+        if degree <= 13:
+            assert gauss @ nodes**degree == pytest.approx(exact, abs=1e-15)
+
+
+def test_kink_bound_covers_the_rule_error_on_every_cell():
+    # |t - u| changes by the cell width across the cell holding u; _gk15
+    # charges that change times _GK_KINK[cell] for the kink.
+    nodes, kronrod = transition._GK_NODES, transition._GK_WEIGHTS[0]
+    u = np.linspace(-1.0, 1.0, 200001)
+    error = np.abs(1.0 + u**2 - np.abs(nodes[None, :] - u[:, None]) @ kronrod)
+    cell = np.clip(np.searchsorted(nodes, u) - 1, 0, nodes.size - 2)
+    assert np.all(error <= np.diff(nodes)[cell] * transition._GK_KINK[cell])
+
+
+def test_norm_integral_sees_a_kink_between_the_outer_node_and_the_end():
+    # |sin(2 pi (t - 0.499))| on [0, 0.5] and [0.5, 1] kinks 0.001 before
+    # each end, past the outer Kronrod node (0.0021 from the end), where
+    # neither rule samples it: |K15 - G7| alone reads ~1e-16 and the error
+    # is 6e-6.  The sign change between the outer node and the end shows it.
+    system = load_system(_doc([["sin(2*pi*t - 2*pi*0.499)"]], args=(0.5,)))
+    c = math.cos(2.0 * math.pi * 0.001)
+    expected = [(2.0 - math.cos(2.0 * math.pi * 0.499) - c) / (2.0 * math.pi), 1.0 / math.pi]
+    got = transition._norm_integrals(system.A, "A", _halves(system))
+    assert all(_within_goal(g, e) for g, e in zip(got, expected)), (got, expected)
+
+
+@pytest.mark.parametrize("entry", ["sin(2*pi*t)", "sin(100*pi*t)"])
+def test_norm_integral_of_sine_with_kinks(entry):
+    # |sin(2 pi m t)| over one period integrates to 2/pi for every m; with
+    # m = 50 the norm has 100 kinks.
+    system = load_system(_doc([[entry]]))
+    assert transition._norm_integrals(system.A, "A", [(0.0, 0.0), (0.0, 1.0)]) == [
+        0.0,
+        pytest.approx(2.0 / math.pi, rel=0, abs=1e-10),
+    ]
+    report = hypothesis_check(system)
+    assert report.sigma_plus == (1.0,)
+    assert report.sigma_minus[0] == pytest.approx(math.exp(2.0 / math.pi), rel=1e-10)
+
+
+def test_norm_integral_where_the_maximizing_column_switches():
+    # |A|_1 = max(|cos 2 pi t|, |sin 2 pi t|): the maximizing column switches
+    # at t = 1/8 + k/4, off every bisection point of [0, 0.3] and [0.3, 1].
+    system = load_system(_doc([["cos(2*pi*t)", "0"], ["0", "sin(2*pi*t)"]], args=(0.3,)))
+    first = (math.sqrt(2.0) - math.cos(0.6 * math.pi)) / (2.0 * math.pi)
+    second = 2.0 * math.sqrt(2.0) / math.pi - first
+    got = transition._norm_integrals(system.A, "A", _halves(system))
+    assert _within_goal(got[0], first) and _within_goal(got[1], second), got
+
+
+def test_norm_integral_with_columns_tied_to_roundoff(caplog):
+    # The max flips between the two columns wherever roundoff decides; that
+    # costs nothing and must not drive the refinement into its cap.
+    rows = [["0.3*sin(pi*t)", "6.661338147750939e-17 + 0.3*sin(pi*t)"], ["0.3*sin(pi*t)"] * 2]
+    system = load_system(_doc(rows, times=(0.0, 2.0), args=(0.7,)))
+    with caplog.at_level("WARNING", logger="idepcag"):
+        got = transition._norm_integrals(system.A, "A", _halves(system))
+    assert not caplog.records
+    assert _within_goal(sum(got), 2.4 / math.pi), got
+
+
+def test_norm_integral_sees_a_column_passing_the_max_between_samples():
+    # Column 0 rises above column 1 only on [0.4188, 0.4308], inside one
+    # cell of the subinterval [0.3906, 0.5859]: every sample there reads
+    # column 1, both rules agree to 1e-16, and the bump is worth 2e-5.
+    rows = [
+        [
+            "0.04540958330759866 + 1.1347967178046041*sin(4.021833788138361*t + 4.991027412087952)",
+            "-0.6931838039516522 + 0.9289328997413275*sin(8.043667576276722*t + 5.728427463100026)",
+            "0.3122228070769492 + 0.6042160150945631*sin(12.065501364415082*t + 0.03954185450247351)",
+        ]
+    ] * 2 + [
+        [
+            "1.2240763162965986*sin(12.065501364415082*t + 4.936561674037412)",
+            "-0.5041589088340506 + 1.5*sin(4.021833788138361*t + 1.6727860627147102)",
+            "0.17467609024065278 + 0.9497714847452892*sin(12.065501364415082*t + 1.0)",
+        ]
+    ]
+    omega = 1.5622687654847036
+    system = load_system(_doc(rows, times=(0.0, omega)))
+    got = transition._norm_integrals(system.A, "A", [(0.0, omega)])[0]
+    assert _within_goal(got, _reference_integral(system.A, 0.0, omega))
+
+
+def _reference_integral(matfun, a, b):
+    """Scalar quad on the compiled ``eval`` between the kinks of the norm,
+    far below the goal: independent of the batched rule.  A kink sits where
+    an entry or the difference of two column sums changes sign; each one is
+    bracketed on a fine grid and refined with brentq."""
+    if b <= a:
+        return 0.0
+
+    def parts(t):
+        M = matfun._eval_many(np.asarray(t, dtype=float))
+        cols = np.abs(M).sum(axis=0)
+        return np.concatenate((M, cols[:, None] - cols[None, :])).reshape((-1,) + M.shape[2:])
+
+    def sign_changes(grid, rows):
+        signs = np.sign(parts(grid)[rows])
+        return [
+            brentq(lambda t: parts(t)[rows][k], grid[i], grid[i + 1], xtol=1e-16)
+            for k, i in zip(*np.nonzero(signs[:, :-1] * signs[:, 1:] < 0))
+        ]
+
+    # The entries are smooth, so a plain grid brackets their zeros.  Column
+    # sums are smooth only between those zeros, so their crossings are
+    # bracketed on a grid that includes them.
+    n2 = matfun.n**2
+    grid = np.linspace(a, b, 4001)
+    entry_zeros = sign_changes(grid, slice(0, n2))
+    kinks = entry_zeros + sign_changes(np.union1d(grid, entry_zeros), slice(n2, None))
+    edges = [a, *sorted(kinks), b]
+    return math.fsum(
+        quad(lambda t: norm1(matfun.eval(t)), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+_trig_entry = st.tuples(
+    st.floats(-0.9, 0.9), st.floats(0.3, 1.5), st.integers(1, 3), st.floats(0.0, 6.0)
+)
+
+
+@st.composite
+def _trig_systems(draw):
+    """Documents whose entries ``a0 + a1 sin(h w t + phase)`` change sign
+    (|a0| < a1), with retarded, interior and advanced anchors."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 3))
+    omega = draw(st.floats(0.8, 2.5))
+    w = 2.0 * math.pi / omega
+    inner = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=p - 1, max_size=p - 1, unique=True)))
+    times = [0.0] + [f * omega for f in inner] + [omega]
+    args = []
+    for lo, hi in zip(times[:-1], times[1:]):
+        kind = draw(st.sampled_from(["retarded", "interior", "advanced"]))
+        if kind == "interior":
+            lo += draw(st.floats(0.2, 0.8)) * (hi - lo)
+        args.append(hi if kind == "advanced" else lo)
+
+    def matrix():
+        rows = []
+        for _ in range(n):
+            row = []
+            for a0, a1, h, phase in draw(st.lists(_trig_entry, min_size=n, max_size=n)):
+                row.append(f"{a0 * a1!r} + {a1!r}*sin({h * w!r}*t + {phase!r})")
+            rows.append(row)
+        return rows
+
+    return load_system(_doc(matrix(), matrix(), times=tuple(times), args=tuple(args)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_trig_systems())
+def test_norm_integrals_meet_their_goal_on_random_trig_systems(system):
+    halves = _halves(system)
+    for name, matfun in (("A", system.A), ("B", system.B)):
+        got = transition._norm_integrals(matfun, name, halves)
+        for (a, b), value in zip(halves, got):
+            expected = _reference_integral(matfun, a, b)
+            assert _within_goal(value, expected), (name, a, b, value - expected)
+
+
+def test_norm_integral_cap_returns_with_one_warning(monkeypatch, caplog):
+    monkeypatch.setattr(transition, "_GK_LIMIT", 2)
+    system = load_system(_doc([["sin(100*pi*t)"]]))
+    with caplog.at_level("WARNING", logger="idepcag"):
+        report = hypothesis_check(system)
+    stopped = [r.getMessage() for r in caplog.records if "stopped at" in r.getMessage()]
+    assert len(stopped) == 1
+    assert "|A|_1 over [0.0, 1.0] stopped at 2 subintervals" in stopped[0], stopped
+    assert math.isfinite(report.sigma)
+
+
+def test_non_finite_norm_between_load_samples_fails_the_regime(monkeypatch):
+    # exp(710) overflows only where sin(2 pi t)^1000000 is within ~3e-10 of
+    # 1, too narrow for the load-time samples, but the centre node of
+    # [0, 0.5] and of [0.5, 1] sits on it.
+    system = load_system(_doc([["exp(710*sin(2*pi*t)^1000000)"]], args=(0.5,)))
+    calls = []
+    eval_many = type(system.A)._eval_many
+    monkeypatch.setattr(
+        type(system.A), "_eval_many", lambda mf, ts: calls.append(ts.shape) or eval_many(mf, ts)
+    )
+    report = hypothesis_check(system)
+    assert report.sigma_plus == (math.inf,) and report.sigma_minus == (math.inf,)
+    assert math.isinf(report.sigma)
+    assert report.nu_plus == report.nu_minus == (0.0,)  # B = 0, not inf * 0
+    assert not report.passed
+    assert calls == [(2, 17), (2, 17)]  # one level each for A and B: no refinement
