@@ -544,9 +544,9 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     Biperiodicity of Phi/J/E and the cocycle and Liouville identities are
     evaluated by fresh integrations (not by the cached operators, which are
     periodic by construction), so a miscoupled period or a sloppy tolerance
-    actually shows up.  The three biperiodicity checks share one coupled
-    Phi/J/E integration at ``(s, t)`` and one at ``(s + omega, t + omega)``
-    per pair.  Returns an ordered list of ``ResidualCheck``.
+    actually shows up.  The three biperiodicity checks share one Phi/J/E
+    integration at ``(s, t)`` and one at ``(s + omega, t + omega)`` per
+    pair.  Returns an ordered list of ``ResidualCheck``.
     """
     from .transition import _flow_matrices, fundamental_matrix
 

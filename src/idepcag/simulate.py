@@ -1,13 +1,13 @@
 """Trajectory generation, by operator products and by direct integration.
 
 ``solve_cauchy`` propagates with the cached transition operators (the same
-machinery that builds the monodromy matrix).  ``solve_direct`` is a
-deliberately independent oracle by its formulation, although it uses the
-same DOP853 stepper: per interval it resolves the value at the argument
-anchor by a linear solve against ``J`` (this is what makes the advanced
-argument well posed), then integrates the resulting inhomogeneous state
-ODE, not the matrix operators, and applies the impulse at the right
-endpoint.
+Magnus machinery that builds the monodromy matrix).  ``solve_direct`` is a
+deliberately independent oracle, in method as well as in formulation: it
+is the package's only user of scipy's DOP853 stepper, and per interval it
+resolves the value at the argument anchor by a linear solve against ``J``
+(this is what makes the advanced argument well posed), then integrates the
+resulting inhomogeneous state ODE, not the matrix operators, and applies
+the impulse at the right endpoint.
 
 Output grids always include every breakpoint in range with a paired
 left-limit / post-impulse record, so consumers can plot the jumps

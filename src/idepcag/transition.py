@@ -7,17 +7,30 @@ is assembled from three operators anchored at a point ``tau``:
 * ``J(t, tau)``   - ``I + integral_tau^t Phi(tau, s) B(s) ds``,
 * ``E(t, tau)``   - ``Phi(t, tau) J(t, tau)``.
 
-``Phi(tau, s)`` inside J is obtained by integrating the adjoint equation
-``Psi' = -Psi A`` alongside, never by inverting dense output.  One interval
-is integrated once, anchored at its argument value ``zeta_k``, and the dense
-output is cached so monodromy assembly costs p integrations total.
+With the argument frozen at ``tau`` the system is the linear ODE
+``x' = A x + B c``, ``c' = 0``.  The fundamental matrix ``U(t, tau)`` of its
+block generator ``H = [[A, B], [0, 0]]`` is ``[[Phi, Phi (J - I)], [0, I]]``,
+so ``E = U11 + U12`` and ``J = U11^{-1} (U11 + U12) = I + U11^{-1} U12``.
 
-Integration is Dormand-Prince 8(5,3) (scipy ``DOP853``) at the system's
-declared tolerances (at tight ones such as the bundled documents' 1e-12
-an eighth-order method takes far fewer steps than a fifth-order one).  The
-norm integrals of the invertibility diagnostics use a batched adaptive
-Gauss-Kronrod 7-15 rule: one vectorized evaluation of the coefficient
-matrix per refinement level, over every half-interval of the period.
+``U`` comes from the fixed-step sixth-order Magnus integrator on three
+Gauss-Legendre nodes per step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+2009, §5).  A pass of ``N`` steps evaluates ``A`` and ``B`` once each on the
+nodes of every step, exponentiates all the steps' ``Omega`` in one stacked
+degree-15 Taylor exponential (each matrix scaled to a norm of at most 1/2,
+then squared back) and chains them by a batched prefix product.  ``N``
+starts at 2 and doubles until the node values of ``N`` and ``2N`` steps
+agree to ``ode_abs + ode_rel max|U|``; the ``2N`` pass is kept.  Constant
+coefficients make every step an exact block exponential (Van Loan, IEEE TAC
+1978), so they agree at the first comparison.
+
+An interval is integrated once, from its argument value ``zeta_k`` to both
+ends, and its node values are cached; monodromy assembly integrates every
+branch of the period in one batch.  Dense output at ``t`` is one partial
+Magnus step from the node at or left of ``t``, batched over the query
+times.  The norm integrals of the invertibility diagnostics use a batched
+adaptive Gauss-Kronrod 7-15 rule: one vectorized evaluation of the
+coefficient matrix per refinement level, over every half-interval of the
+period.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-# quad is not called here; it stays bound because perfbench/tracing.py patches it by name.
+# Neither is called here; both stay bound because perfbench/tracing.py patches them by name.
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .linalg import NumericalError, SingularMatrixError, det, inv, norm1
@@ -50,77 +63,180 @@ log = logging.getLogger("idepcag")
 
 _DETJ_RTOL = 1e-12
 
-
-def _run_ivp(rhs, t0, t1, y0, tol, dense=False):
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method="DOP853",
-        rtol=tol.ode_rel,
-        atol=tol.ode_abs,
-        dense_output=dense,
-    )
-    if not sol.success:
-        raise NumericalError(f"integrator failed on [{t0}, {t1}]: {sol.message}")
-    return sol
-
-
-def _flow_rhs(system):
-    """RHS of the coupled matrix system [Z' = A Z, Psi' = -Psi A, K' = Psi B]."""
-    n = system.n
-    n2 = n * n
-
-    def rhs(u, y):
-        Au = system.A.eval(u)
-        Bu = system.B.eval(u)
-        Z = y[:n2].reshape(n, n)
-        Psi = y[n2 : 2 * n2].reshape(n, n)
-        out = np.empty(3 * n2)
-        out[:n2] = (Au @ Z).ravel()
-        out[n2 : 2 * n2] = (-Psi @ Au).ravel()
-        out[2 * n2 :] = (Psi @ Bu).ravel()
-        return out
-
-    return rhs
+# Gauss-Legendre nodes on [0, 1] of one sixth-order Magnus step, and the
+# weights that take h H at the nodes to the combinations of _magnus_omega:
+# a1, a2, 2 a3, a1 + a3 / 12 (the Gauss rule) and -20 a1 - a3.
+_GL3 = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_GL3_COMB = np.array([
+    [0.0, 1.0, 0.0],
+    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
+    [20.0 / 3.0, -40.0 / 3.0, 20.0 / 3.0],
+    [5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0],
+    [-10.0 / 3.0, -40.0 / 3.0, -10.0 / 3.0],
+]).T
+# Taylor coefficients 1/k!, k = 0..15, in Paterson-Stockmeyer blocks:
+# row j holds the coefficients of X^0..X^3 that multiply (X^4)^j.
+_TAYLOR_PS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
+_N_START = 2  # steps of the first pass of every segment
+_N_MAX = 2**13  # most steps of one segment's pass
+_DENSE_BLOCK = 256  # most query times per batch of partial steps
+# Smallest relative tolerance the step doubling is asked to meet (scipy's
+# floor for its own steppers); below it roundoff decides the comparison.
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def _flow_initial(n):
-    y0 = np.zeros(3 * n * n)
-    y0[: n * n] = np.eye(n).ravel()
-    y0[n * n : 2 * n * n] = np.eye(n).ravel()
-    return y0
+def _expm_many(M):
+    """``exp`` of every matrix of the stack ``M`` (shape ``(..., m, m)``).
+
+    Degree-15 Taylor polynomial (Paterson-Stockmeyer, six products) of
+    ``M / 2^s``, with ``s`` per matrix the least that brings its Frobenius
+    norm to at most 1/2 (truncation error about 1e-18 relative), then ``s``
+    squarings.  A zero matrix gives exactly ``I``.
+    """
+    shape = M.shape
+    # frexp: |M|_F^2 < 2^e, so a scale of 2^-s with s >= e / 2 + 1 leaves at
+    # most 1/2.
+    s = np.maximum((np.frexp(np.einsum("...ij,...ij->...", M, M))[1] + 3) // 2, 0)
+    powers = np.empty((4,) + shape)
+    powers[0] = np.eye(shape[-1])
+    X = np.multiply(M, np.ldexp(1.0, -s)[..., None, None], out=powers[1])
+    np.matmul(X, X, out=powers[2])
+    np.matmul(powers[2], X, out=powers[3])
+    X4 = powers[2] @ powers[2]
+    blocks = (_TAYLOR_PS @ powers.reshape(4, -1)).reshape(powers.shape)
+    E = blocks[3]
+    for block in blocks[2::-1]:
+        E = E @ X4 + block
+    for level in range(int(s.max(initial=0))):
+        sel = s > level
+        E[sel] = E[sel] @ E[sel]
+    return E
 
 
-def _split_flow(y, n):
-    n2 = n * n
-    Z = y[:n2].reshape(n, n)
-    K = y[2 * n2 :].reshape(n, n)
-    return Z, np.eye(n) + K
+def _comm(X, Y):
+    return X @ Y - Y @ X
+
+
+def _magnus_omega(A, B, t0, h):
+    """Sixth-order Magnus exponents of the steps ``[t0, t0 + h]`` of the
+    block generator ``[[A, B], [0, 0]]``: ``t0`` is an array, ``h``
+    broadcasts against it, and the result has shape ``t0.shape + (2n, 2n)``.
+
+    With ``H_i = h H(t0 + c_i h)`` on the Gauss nodes ``c_i`` (Blanes,
+    Casas, Oteo & Ros 2009, §5): ``a1 = H_2``, ``a2 = sqrt(15)/3 (H_3 - H_1)``,
+    ``a3 = 10/3 (H_3 - 2 H_2 + H_1)``, ``C1 = [a1, a2]``,
+    ``C2 = -[a1, 2 a3 + C1] / 60`` and
+    ``Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240``.
+    """
+    n = A.n
+    ts = t0[..., None] + h[..., None] * _GL3
+    # (n, n) + ts.shape, node axis last, to (5,) + t0.shape + (n, n).
+    axes = (ts.ndim + 1, *range(2, ts.ndim + 1), 0, 1)
+    a = np.zeros((5,) + t0.shape + (2 * n, 2 * n))
+    for cols, F in ((slice(0, n), A), (slice(n, 2 * n), B)):
+        values = F._eval_many(ts)
+        combos = values.reshape(-1, 3) @ _GL3_COMB
+        a[..., :n, cols] = combos.reshape(values.shape[:-1] + (5,)).transpose(axes)
+    a *= h[..., None, None]
+    a1, a2, a3_twice, gauss, left = a
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, a3_twice + c1) / -60.0
+    return gauss + _comm(left + c1, a2 + c2) / 240.0
+
+
+def _magnus_pass(A, B, t0, t1, N):
+    """Node values ``U(t0 + k h, t0)``, ``k = 0..N``, ``h = (t1 - t0) / N``,
+    of every segment: shape ``(S, N + 1, 2n, 2n)``."""
+    h = ((t1 - t0) / N)[:, None]
+    U = np.empty((t0.size, N + 1, 2 * A.n, 2 * A.n))
+    U[:, 0] = np.eye(2 * A.n)
+    P = U[:, 1:]
+    P[...] = _expm_many(_magnus_omega(A, B, t0[:, None] + h * np.arange(N), h))
+    # Prefix products by doubling: afterwards P[:, k] = F_k ... F_1 F_0.
+    d = 1
+    while d < N:
+        P[:, d:] = P[:, d:] @ P[:, :-d]
+        d *= 2
+    return U
+
+
+def _magnus(A, B, tol, t0, t1):
+    """Fixed-step Magnus integration of ``[[A, B], [0, 0]]`` over every
+    segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U)``, with
+    ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass.
+
+    Every open segment takes the same ``N``; a segment closes when its node
+    values at ``N`` and ``2N`` steps agree, at each node, to
+    ``ode_abs + ode_rel max|U|`` (``ode_rel`` floored at ``_RTOL_FLOOR``),
+    and keeps the ``2N`` pass.  Raises ``NumericalError`` on a non-finite
+    value and when ``N`` would pass ``_N_MAX``.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    rtol = max(tol.ode_rel, _RTOL_FLOOR)
+    result = [None] * t0.size
+    live = np.arange(t0.size)
+    N = _N_START
+    # Overflow shows as a non-finite node value, which raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _magnus_pass(A, B, t0, t1, N)
+        while True:
+            N *= 2
+            fine = _magnus_pass(A, B, t0[live], t1[live], N)
+            finite = np.isfinite(fine).all(axis=(1, 2, 3))
+            if not finite.all():
+                bad = live[~finite][0]
+                raise NumericalError(
+                    f"transition operator on [{float(t0[bad])!r}, {float(t1[bad])!r}] "
+                    "is not finite"
+                )
+            on_nodes = fine[:, ::2]
+            gap = np.abs(on_nodes - coarse).max(axis=(2, 3))
+            bound = tol.ode_abs + rtol * np.abs(on_nodes).max(axis=(2, 3))
+            done = (gap <= bound).all(axis=1)
+            for i in np.flatnonzero(done):
+                result[live[i]] = ((t1[live[i]] - t0[live[i]]) / N, fine[i])
+            if done.all():
+                return result
+            if 2 * N > _N_MAX:
+                i = np.flatnonzero(~done)[0]
+                raise NumericalError(
+                    f"Magnus integration on [{float(t0[live[i]])!r}, {float(t1[live[i]])!r}] "
+                    f"missed its tolerance at {N} steps (node difference {gap[i].max():.3e})"
+                )
+            live, coarse = live[~done], fine[~done]
+
+
+def _fresh_flow(system, s, t):
+    """``U(t, s)`` from one fresh integration; the identity at ``t == s``."""
+    if t == s:
+        return np.eye(2 * system.n)
+    (_, U), = _magnus(system.A, system.B, system.tolerances, [s], [t])
+    return U[-1]
 
 
 def fundamental_matrix(system: SystemSpec, s: float, t: float) -> np.ndarray:
     """Fundamental matrix ``Phi(t, s)`` of z' = A(u) z, ``Phi(s, s) = I``."""
     n = system.n
-    if t == s:
-        return np.eye(n)
+    return _fresh_flow(system, s, t)[:n, :n].copy()
 
-    def rhs(u, y):
-        return (system.A.eval(u) @ y.reshape(n, n)).ravel()
 
-    sol = _run_ivp(rhs, s, t, np.eye(n).ravel(), system.tolerances)
-    return sol.y[:, -1].reshape(n, n)
+def _phi_j_e(top, n):
+    """``(Phi, J, E)`` from the top block rows ``[U11, U12]`` of ``U``:
+    ``J = U11^{-1} (U11 + U12) = I + U11^{-1} U12``, which is exactly ``I``
+    where ``B`` vanishes (``U12`` then stays exactly zero)."""
+    Phi, K = top[..., :n], top[..., n:]
+    try:
+        J = np.eye(n) + np.linalg.solve(Phi, K)
+    except np.linalg.LinAlgError as exc:  # Phi underflowed, as for A = -800 over 1
+        raise SingularMatrixError("fundamental matrix singular to working precision") from exc
+    return Phi, J, Phi + K
 
 
 def _flow_matrices(system, tau, t):
-    """``(Phi(t, tau), J(t, tau), E(t, tau))`` from one integration of the
-    coupled flow; all three are the identity at ``t == tau``."""
-    n = system.n
-    if t == tau:
-        return np.eye(n), np.eye(n), np.eye(n)
-    sol = _run_ivp(_flow_rhs(system), tau, t, _flow_initial(n), system.tolerances)
-    Z, J = _split_flow(sol.y[:, -1], n)
-    return Z, J, Z @ J
+    """``(Phi(t, tau), J(t, tau), E(t, tau))`` from one fresh integration;
+    all three are the identity at ``t == tau``."""
+    return _phi_j_e(_fresh_flow(system, tau, t)[: system.n], system.n)
 
 
 def j_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
@@ -137,9 +253,13 @@ def e_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
 class IntervalOperators:
     """Dense-output transition operators for one base interval.
 
-    Anchored at the interval's argument value ``zeta``; evaluation of
-    ``Phi(t, zeta)``, ``J(t, zeta)`` and ``E(t, zeta)`` is a dense-output
-    lookup for any ``t`` in ``[t_left, t_right]``.
+    Anchored at the interval's argument value ``zeta``.  The Magnus nodes of
+    both branches, ``zeta`` to ``t_left`` and ``zeta`` to ``t_right``, are
+    stored in ascending time with their values ``U(t_i, zeta)``; evaluation
+    of ``Phi(t, zeta)``, ``J(t, zeta)`` and ``E(t, zeta)`` at any ``t`` in
+    ``[t_left, t_right]`` is one partial Magnus step from the node at or
+    left of ``t``.  The step is time-symmetric, so on the branch left of
+    ``zeta`` a full step from one node reproduces the next to roundoff.
     """
 
     index: int
@@ -147,108 +267,109 @@ class IntervalOperators:
     t_right: float
     zeta: float
     n: int
-    _fwd: object  # OdeSolution over [zeta, t_right], or None
-    _bwd: object  # OdeSolution over [zeta, t_left], or None
+    _A: object  # MatrixFunction, for the partial steps
+    _B: object
+    _times: np.ndarray  # node times, ascending, from t_left to t_right
+    _nodes: np.ndarray  # U(t_i, zeta), shape (len(_times), 2n, 2n)
     E_left: np.ndarray
     E_right: np.ndarray
     E_left_inv: np.ndarray
     J_left: np.ndarray
     J_right: np.ndarray
 
-    def _state_at(self, t):
+    def _top_many(self, ts):
+        """Top block rows ``[U11, U12]`` of ``U(t, zeta)`` for every time of
+        ``ts``: shape ``(m, n, 2n)``.  At a node time (``zeta`` included)
+        they are the stored node values exactly."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         slack = 1e-9 * max(1.0, abs(self.t_right))
         # Written so that NaN, for which every comparison is false, raises.
-        if not self.t_left - slack <= t <= self.t_right + slack:
-            raise ValueError(
-                f"t = {t!r} outside interval [{self.t_left!r}, {self.t_right!r}]"
-            )
-        t = min(max(t, self.t_left), self.t_right)
-        if t == self.zeta:
-            return _flow_initial(self.n)
-        branch = self._fwd if t >= self.zeta else self._bwd
-        if branch is None:
-            return _flow_initial(self.n)
-        return branch(t)
-
-    def phi_at(self, t: float) -> np.ndarray:
-        return self._state_at(t)[: self.n * self.n].reshape(self.n, self.n).copy()
-
-    def j_at(self, t: float) -> np.ndarray:
-        return _split_flow(self._state_at(t), self.n)[1]
-
-    def e_at(self, t: float) -> np.ndarray:
-        Z, J = _split_flow(self._state_at(t), self.n)
-        return Z @ J
-
-    def e_many(self, ts) -> np.ndarray:
-        """``E(t, zeta)`` stacked to shape ``(m, n, n)`` for ``m`` times.
-
-        Agrees with ``e_at`` per time up to roundoff (scipy evaluates a
-        block of points as one matrix product), with one dense-output call
-        per branch instead of one per time.
-        """
-        ts = np.asarray(ts, dtype=float)
-        slack = 1e-9 * max(1.0, abs(self.t_right))
         outside = ~((ts >= self.t_left - slack) & (ts <= self.t_right + slack))
         if outside.any():
             raise ValueError(
                 f"t = {float(ts[outside][0])!r} outside interval "
                 f"[{self.t_left!r}, {self.t_right!r}]"
             )
-        ts = np.clip(ts, self.t_left, self.t_right)
-        n2 = self.n * self.n
-        states = np.tile(_flow_initial(self.n), (ts.size, 1))
-        for branch, mask in ((self._fwd, ts > self.zeta), (self._bwd, ts < self.zeta)):
-            if mask.any():
-                states[mask] = branch(ts[mask]).T
-        Z = states[:, :n2].reshape(-1, self.n, self.n)
-        J = np.eye(self.n) + states[:, 2 * n2 :].reshape(-1, self.n, self.n)
-        return Z @ J
+        ts = np.minimum(np.maximum(ts, self.t_left), self.t_right)
+        k = np.searchsorted(self._times, ts, side="right") - 1
+        starts = self._times[k]
+        top = np.empty((ts.size, self.n, 2 * self.n))
+        # In blocks, so the temporaries of a long batch stay small.
+        for i in range(0, ts.size, _DENSE_BLOCK):
+            at = slice(i, i + _DENSE_BLOCK)
+            step = _expm_many(_magnus_omega(self._A, self._B, starts[at], ts[at] - starts[at]))
+            np.matmul(step[:, : self.n], self._nodes[k[at]], out=top[at])
+        return top
+
+    def phi_at(self, t: float) -> np.ndarray:
+        return self._top_many(t)[0, :, : self.n]
+
+    def j_at(self, t: float) -> np.ndarray:
+        return _phi_j_e(self._top_many(t)[0], self.n)[1]
+
+    def e_at(self, t: float) -> np.ndarray:
+        return self.e_many(t)[0]
+
+    def e_many(self, ts) -> np.ndarray:
+        """``E(t, zeta)`` stacked to shape ``(m, n, n)`` for ``m`` times, from
+        one batch of partial steps; ``e_at`` is ``e_many`` of one time."""
+        top = self._top_many(ts)
+        return top[..., : self.n] + top[..., self.n :]
 
 
 def _det_scale(J, n):
     return max(1.0, norm1(J)) ** n
 
 
-def _build_interval(system, j):
+def _build_intervals(system):
+    """``IntervalOperators`` of every base interval, from one batched Magnus
+    integration of all branches ``[zeta_k, t_{k+1}]`` and ``[zeta_k, t_k]``."""
     grid = system.grid
-    t_left, t_right = grid.times[j], grid.times[j + 1]
-    zeta = grid.args[j]
     n = system.n
-    rhs = _flow_rhs(system)
-    y0 = _flow_initial(n)
-    fwd = _run_ivp(rhs, zeta, t_right, y0, system.tolerances, dense=True).sol if t_right > zeta else None
-    bwd = _run_ivp(rhs, zeta, t_left, y0, system.tolerances, dense=True).sol if t_left < zeta else None
-
-    def state(t):
-        if t == zeta:
-            return y0
-        return fwd(t) if t > zeta else bwd(t)
-
-    Z_l, J_l = _split_flow(state(t_left), n)
-    Z_r, J_r = _split_flow(state(t_right), n)
-    for name, J in (("J(t_k, zeta_k)", J_l), ("J(t_{k+1}, zeta_k)", J_r)):
-        if abs(det(J)) <= _DETJ_RTOL * _det_scale(J, n):
-            raise SingularMatrixError(
-                f"{name} is singular on interval {j}: the argument anchor is "
-                f"not invertible (|det| = {abs(det(J)):.3e})"
-            )
-    E_l = Z_l @ J_l
-    E_r = Z_r @ J_r
-    return IntervalOperators(
-        index=j,
-        t_left=t_left,
-        t_right=t_right,
-        zeta=zeta,
-        n=n,
-        _fwd=fwd,
-        _bwd=bwd,
-        E_left=E_l,
-        E_right=E_r,
-        E_left_inv=inv(E_l),
-        J_left=J_l,
-        J_right=J_r,
-    )
+    ends = [(j, end) for j in range(system.p)
+            for end in (grid.times[j], grid.times[j + 1]) if end != grid.args[j]]
+    flows = _magnus(system.A, system.B, system.tolerances,
+                    [grid.args[j] for j, _ in ends], [end for _, end in ends])
+    branches = dict(zip(ends, flows))
+    ops = []
+    for j in range(system.p):
+        t_left, t_right, zeta = grid.times[j], grid.times[j + 1], grid.args[j]
+        times, nodes = [np.array([zeta])], [np.eye(2 * n)[None]]
+        left, right = branches.get((j, t_left)), branches.get((j, t_right))
+        if left is not None:
+            h, U = left
+            times.insert(0, zeta + h * np.arange(len(U) - 1, 0, -1))
+            nodes.insert(0, U[:0:-1])
+        if right is not None:
+            h, U = right
+            times.append(zeta + h * np.arange(1, len(U)))
+            nodes.append(U[1:])
+        times, nodes = np.concatenate(times), np.concatenate(nodes)
+        times[0], times[-1] = t_left, t_right
+        _, (J_l, J_r), (E_l, E_r) = _phi_j_e(nodes[[0, -1], :n], n)
+        for name, J in (("J(t_k, zeta_k)", J_l), ("J(t_{k+1}, zeta_k)", J_r)):
+            if abs(det(J)) <= _DETJ_RTOL * _det_scale(J, n):
+                raise SingularMatrixError(
+                    f"{name} is singular on interval {j}: the argument anchor is "
+                    f"not invertible (|det| = {abs(det(J)):.3e})"
+                )
+        ops.append(IntervalOperators(
+            index=j,
+            t_left=t_left,
+            t_right=t_right,
+            zeta=zeta,
+            n=n,
+            _A=system.A,
+            _B=system.B,
+            _times=times,
+            _nodes=nodes,
+            E_left=E_l,
+            E_right=E_r,
+            E_left_inv=inv(E_l),
+            J_left=J_l,
+            J_right=J_r,
+        ))
+    return tuple(ops)
 
 
 _OPS_CACHE = weakref.WeakKeyDictionary()
@@ -263,7 +384,7 @@ def interval_operators(system: SystemSpec):
     with _OPS_LOCK:
         ops = _OPS_CACHE.get(system)
     if ops is None:
-        ops = tuple(_build_interval(system, j) for j in range(system.p))
+        ops = _build_intervals(system)
         with _OPS_LOCK:
             _OPS_CACHE[system] = ops
     return ops

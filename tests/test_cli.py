@@ -308,7 +308,8 @@ def test_sweep_bad_range_exit_1(capsys):
 def test_sweep_serial_matches_pooled_output(capsys):
     # tests/data/scalar_table_sweep.csv pins the sweep's bytes, roundoff
     # included; it was last written by the serial sweep after the transition
-    # layer moved to DOP853, which changed three cells in the last digits.
+    # layer moved to Magnus steps, which took three cells (two Lyapunov
+    # exponents and one |det J|) from roundoff to exactly 0.
     expected = (Path(__file__).parent / "data" / "scalar_table_sweep.csv").read_text()
     code = main(["sweep", _spec("scalar_table_template"), "--param", "AC",
                  "--range=-2:2", "--steps", "17"])

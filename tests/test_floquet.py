@@ -454,13 +454,13 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
 
     interval_operators(rotation_system)  # the cached operators integrate nothing below
     calls = []
-    real_solve_ivp = transition.solve_ivp
+    real_magnus = transition._magnus
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real_solve_ivp(*args, **kwargs)
+        calls.append(args[3:])
+        return real_magnus(*args, **kwargs)
 
-    monkeypatch.setattr(transition, "solve_ivp", counting)
+    monkeypatch.setattr(transition, "_magnus", counting)
     checks = structural_residuals(rotation_system, pairs=2)
     # biperiodicity: 2 pairs x 2 shifts; cocycle: 2 x 3; liouville: 2
     assert len(calls) == 12
