@@ -15,7 +15,6 @@ variant ``(1/(2 omega)) Log X(omega)^2`` yields a real generator with a
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .linalg import (
     NumericalError,
     RealificationError,
     Spectrum,
+    _expm_many,
     eig,
     expm,
     inv,
@@ -34,7 +34,7 @@ from .linalg import (
     norm1,
 )
 from .model import SystemSpec
-from .transition import HypothesisReport, hypothesis_check, interval_operators
+from .transition import HypothesisReport, _fresh_flows, _phi_j_e, hypothesis_check, interval_operators
 
 __all__ = [
     "EXPONENTIALLY_STABLE",
@@ -88,57 +88,64 @@ class Verdict:
         return self.kind if self.n is None else f"{self.kind}({self.n})"
 
 
-def _interval_step(system, r):
-    """``W(t_r, t_{r-1})`` across base interval r-1 (shift-invariant)."""
-    ops = interval_operators(system)[(r - 1) % system.p]
-    return ops.E_right @ ops.E_left_inv
-
-
-def _discrete_state(system, k):
-    """``X(t_k)`` (post-impulse) for a global breakpoint index k >= 0."""
-    X = np.eye(system.n)
+def _states(system, k):
+    """Post-impulse states ``X(t_0), ..., X(t_k)`` from one running product."""
+    ops = interval_operators(system)
+    X = [np.eye(system.n)]
     for r in range(1, k + 1):
-        X = system.impulse_factor(r) @ _interval_step(system, r) @ X
+        o = ops[(r - 1) % system.p]
+        X.append(system.impulse_factor(r) @ (o.E_right @ o.E_left_inv) @ X[-1])
     return X
 
 
-def cauchy_matrix(system: SystemSpec, t: float) -> np.ndarray:
-    """Propagator ``W(t, 0)`` of the full impulsive system, ``W(0, 0) = I``.
-
-    Product form: the local factor across the current interval times one
-    impulse-and-interval factor per crossed breakpoint, accumulated
-    left-multiplicatively.  At a breakpoint the returned value is the
-    post-impulse one (solutions are right-continuous).
+def _cauchy_many(system, ts, left=False):
+    """``W(t, 0)``, or its left limit ``W(t^-, 0)`` when ``left``, for every
+    time of ``ts``, stacked: the local factor ``E(t, zeta_j) E(t_j, zeta_j)^-1``
+    across the time's base interval j, read in one ``e_many`` call per
+    interval, times the state ``X(t_k)`` at its last breakpoint.  At a
+    breakpoint the right limit is post-impulse (solutions are
+    right-continuous) and the left limit is the end of the interval before.
     """
-    if t < 0:
+    grid, p = system.grid, system.p
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    if left and (ts <= 0).any():
+        raise ValueError("left limits exist for t > 0 only")
+    if (ts < 0).any():
         raise ValueError("cauchy_matrix is anchored at tau = 0; t must be >= 0")
-    k, m, j = system.grid.locate(t)
-    ops = interval_operators(system)[j]
-    shift = m * system.omega
-    local = ops.e_at(t - shift) @ ops.E_left_inv
-    return local @ _discrete_state(system, k)
+    reads = [[] for _ in range(p)]  # per base interval: (row, local time, k)
+    for row, t in enumerate(ts.tolist()):
+        k, m, j = grid.locate(t)
+        tk = grid.time_at(k)
+        if left and k >= 1 and abs(t - tk) <= 1e-12 * max(1.0, abs(tk)):
+            k, j = k - 1, (k - 1) % p
+            reads[j].append((row, grid.times[j + 1], k))
+        else:
+            reads[j].append((row, t - m * system.omega, k))
+    X = _states(system, max((k for group in reads for _, _, k in group), default=0))
+    out = np.empty((ts.size, system.n, system.n))
+    for ops, group in zip(interval_operators(system), reads):
+        if group:
+            rows, local, ks = map(list, zip(*group))
+            out[rows] = ops.e_many(local) @ ops.E_left_inv @ np.stack([X[k] for k in ks])
+    return out
 
 
-def _is_breakpoint(system, t, k):
-    tk = system.grid.time_at(k)
-    return abs(t - tk) <= 1e-12 * max(1.0, abs(tk))
+def cauchy_matrix(system: SystemSpec, t: float) -> np.ndarray:
+    """Propagator ``W(t, 0)`` of the full impulsive system, ``W(0, 0) = I``:
+    ``_cauchy_many`` of one time."""
+    return _cauchy_many(system, [t])[0]
 
 
 def cauchy_matrix_left(system: SystemSpec, t: float) -> np.ndarray:
     """Left limit ``W(t^-, 0)``; differs from ``cauchy_matrix`` only at
     breakpoints, where the final impulse factor is not yet applied."""
-    if t <= 0:
-        raise ValueError("left limits exist for t > 0 only")
-    k, _, _ = system.grid.locate(t)
-    if k >= 1 and _is_breakpoint(system, t, k):
-        return _interval_step(system, k) @ _discrete_state(system, k - 1)
-    return cauchy_matrix(system, t)
+    return _cauchy_many(system, [t], left=True)[0]
 
 
 def monodromy(system: SystemSpec) -> np.ndarray:
     """Monodromy matrix ``X(omega)``: one impulse-and-interval factor per
     breakpoint of the fundamental period."""
-    return _discrete_state(system, system.p)
+    return _states(system, system.p)[-1]
 
 
 @dataclass(frozen=True)
@@ -309,9 +316,9 @@ def verify_normal_form(
     and the reduction residual of ``Y = Q^{-1} X`` against ``Y' = P Y``.
     Report-only: nothing raises on a large residual.
 
-    ``W``, ``Q``, the left limit of ``Q`` and ``Y`` are computed once per
-    distinct time within one call: the stencils, the samples and the
-    impulse checks share times.
+    ``W`` is read for every time the checks need in one ``_cauchy_many``
+    call for right limits and one for left limits; the exponentials in ``Q``
+    and in the anchor term are stacked, and ``Y`` is formed once per time.
     """
     omega = system.omega
     X_omega = monodromy(system)
@@ -319,41 +326,45 @@ def verify_normal_form(
         P = floquet_P_real(X_omega, omega) if real else floquet_P(X_omega, omega)
     factor = 2 if real else 1
     ts = _interior_samples(system, samples)
+    h = _FD_STEP
+    grid = system.grid
+    # An anchor at the interval's right end is read before that breakpoint's
+    # impulse: the equation needs the left limit there.
+    anchors = [(grid.args[j] + m * omega, grid.args[j] == grid.times[j + 1])
+               for _, m, j in map(grid.locate, ts)]
+    # t + c h is bitwise the time _fd5 reads: t - 2 h is t + (-2 h).
+    fd_times = {t + c * h for t in ts for c in (-2, -1, 0, 1, 2)}
 
-    W = functools.cache(lambda u: cauchy_matrix(system, u))
-    Q = functools.cache(lambda u: W(u) @ expm(-P * u))
-    Q_left = functools.cache(lambda u: cauchy_matrix_left(system, u) @ expm(-P * u))
-    Y = functools.cache(lambda u: inv(Q(u)) @ W(u))
+    def read(times, left=False):
+        times = sorted(times)
+        W = _cauchy_many(system, times, left)
+        return dict(zip(times, W)), dict(zip(times, W @ _expm_many(-P * np.array(times)[:, None, None])))
 
-    factorization = max(norm1(W(t + omega) - W(t) @ X_omega) for t in ts)
-    q_periodicity = max(norm1(Q(t + factor * omega) - Q(t)) for t in ts)
+    W, Q = read({*fd_times, *(t + omega for t in ts), *(t + factor * omega for t in ts),
+                 *grid.times[1:], *(gamma for gamma, at_end in anchors if not at_end)})
+    _, Q_left = read({*grid.times[1:], *(gamma for gamma, at_end in anchors if at_end)}, left=True)
+    Y = {u: inv(Q[u]) @ W[u] for u in fd_times}
+
+    factorization = max(norm1(W[t + omega] - W[t] @ X_omega) for t in ts)
+    q_periodicity = max(norm1(Q[t + factor * omega] - Q[t]) for t in ts)
 
     impulse = 0.0
     for k in range(1, system.p + 1):
-        tk = system.grid.times[k]
-        jump = Q(tk) - system.impulse_factor(k) @ Q_left(tk)
+        tk = grid.times[k]
+        jump = Q[tk] - system.impulse_factor(k) @ Q_left[tk]
         impulse = max(impulse, norm1(jump))
 
-    h = _FD_STEP
-    grid = system.grid
     q_resid = 0.0
     q_scale = 1.0
     reduction = 0.0
-    for t in ts:
-        dQ = _fd5(Q, t, h)
-        _, m, j = grid.locate(t)
-        gamma = grid.args[j] + m * omega
-        # An anchor at the interval's right end is read before that
-        # breakpoint's impulse: the equation needs the left limit there.
-        q_gamma = Q_left(gamma) if grid.args[j] == grid.times[j + 1] else Q(gamma)
-        rhs = (
-            system.A.eval(t) @ Q(t)
-            - Q(t) @ P
-            + system.B.eval(t) @ q_gamma @ expm(P * (gamma - t))
-        )
+    lags = _expm_many(P * np.array([gamma - t for t, (gamma, _) in zip(ts, anchors)])[:, None, None])
+    for t, (gamma, at_end), lag in zip(ts, anchors, lags):
+        dQ = _fd5(Q.__getitem__, t, h)
+        q_gamma = Q_left[gamma] if at_end else Q[gamma]
+        rhs = system.A.eval(t) @ Q[t] - Q[t] @ P + system.B.eval(t) @ q_gamma @ lag
         q_resid = max(q_resid, norm1(dQ - rhs))
         q_scale = max(q_scale, norm1(rhs))
-        reduction = max(reduction, norm1(_fd5(Y, t, h) - P @ Y(t)))
+        reduction = max(reduction, norm1(_fd5(Y.__getitem__, t, h) - P @ Y[t]))
 
     return NormalFormResiduals(
         period_factor=factor,
@@ -544,46 +555,50 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     Biperiodicity of Phi/J/E and the cocycle and Liouville identities are
     evaluated by fresh integrations (not by the cached operators, which are
     periodic by construction), so a miscoupled period or a sloppy tolerance
-    actually shows up.  The three biperiodicity checks share one Phi/J/E
-    integration at ``(s, t)`` and one at ``(s + omega, t + omega)`` per
-    pair.  Returns an ordered list of ``ResidualCheck``.
+    actually shows up.  All of them come from one batched integration over
+    every ``(s, t)`` segment the checks need; the three biperiodicity checks
+    share the segments ``(s, t)`` and ``(s + omega, t + omega)`` of a pair.
+    Returns an ordered list of ``ResidualCheck``.
     """
-    from .transition import _flow_matrices, fundamental_matrix
-
     omega = system.omega
+    n = system.n
     rng = np.random.default_rng(seed)
     checks = []
 
     def add(name, value, threshold):
         checks.append(ResidualCheck(name, float(value), threshold, bool(value <= threshold)))
 
+    # One draw per check, in the order of the checks (the seed fixes them).
+    pair = rng.uniform(0.0, omega, size=(pairs, 2))
+    triple = np.sort(rng.uniform(0.0, omega, size=(pairs, 3)), axis=1)
+    spans = np.sort(rng.uniform(0.0, omega, size=(pairs, 2)), axis=1)
+    # (s, t) and (s, t) + omega; (u, t), (s, u) and (s, t) of s < u < t; (s, t).
+    segments = np.stack((pair, pair + omega, triple[:, 1:], triple[:, :2], triple[:, ::2], spans))
+    U = _fresh_flows(system, *segments.reshape(-1, 2).T).reshape(6, pairs, 2 * n, 2 * n)
+    Phi = np.ascontiguousarray(U[..., :n, :n])
+
     names = ("biperiodicity_phi", "biperiodicity_j", "biperiodicity_e")
     worst = [0.0, 0.0, 0.0]
-    for _ in range(pairs):
-        s, t = rng.uniform(0.0, omega, size=2)
-        base = _flow_matrices(system, s, t)
-        shifted = _flow_matrices(system, s + omega, t + omega)
+    for base, shifted in zip(U[0], U[1]):
+        base, shifted = _phi_j_e(base[:n], n), _phi_j_e(shifted[:n], n)
         worst = [max(w, norm1(a - b)) for w, a, b in zip(worst, shifted, base)]
     for name, value in zip(names, worst):
         add(name, value, 1e-7)
 
     worst = 0.0
-    for _ in range(pairs):
-        s, u, t = np.sort(rng.uniform(0.0, omega, size=3))
-        prod = fundamental_matrix(system, u, t) @ fundamental_matrix(system, s, u)
-        worst = max(worst, norm1(prod - fundamental_matrix(system, s, t)))
+    for ut, su, st in zip(*Phi[2:5]):
+        worst = max(worst, norm1(ut @ su - st))
     add("cocycle", worst, 1e-8)
 
     worst = 0.0
-    for _ in range(pairs):
-        s, t = np.sort(rng.uniform(0.0, omega, size=2))
+    for (s, t), phi in zip(spans, Phi[5]):
         expected = math.exp(
             _quad_signed(
                 lambda u: float(np.trace(system.A.eval(u))), s, t,
                 epsabs=1e-12, epsrel=1e-12, limit=400,
             )
         )
-        got = np.linalg.det(fundamental_matrix(system, s, t))
+        got = np.linalg.det(phi)
         worst = max(worst, abs(got - expected) / abs(expected))
     add("liouville", worst, 1e-8)
 

@@ -1,10 +1,10 @@
 """Dense complex matrix kernel: inverses, spectra, expm, principal logm.
 
 Matrices are plain ``numpy.ndarray``s (real or complex, square).  LU-based
-inversion/determinants, the eigensolver, the exponential and the logarithm
-of defective matrices come from LAPACK via numpy/scipy; the branch, pivot
-and spectral-order policies that the Floquet factorization relies on live
-here.
+inversion/determinants, the eigensolver and the logarithm of defective
+matrices come from LAPACK via numpy/scipy; the exponential is a stacked
+Taylor kernel shared with the transition layer.  The branch, pivot and
+spectral-order policies that the Floquet factorization relies on live here.
 
 Eigenvalues are always reported sorted by descending modulus, then
 ascending argument, so downstream reports are deterministic.
@@ -12,6 +12,7 @@ ascending argument, so downstream reports are deterministic.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -162,9 +163,60 @@ def eig(M) -> Spectrum:
     return Spectrum(values, vectors, cond)
 
 
+# Taylor coefficients 1/k!, k = 0..15, in Paterson-Stockmeyer blocks:
+# row j holds the coefficients of X^0..X^3 that multiply (X^4)^j.
+_TAYLOR_PS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
+
+
+def _gemm(a, b):
+    """``a @ b`` of 2-D operands through BLAS gemm, as in a larger product:
+    numpy sends one row or one column to gemv, which rounds differently, so
+    such an operand is doubled and the result cut back."""
+    if a.shape[0] == 1 or b.shape[1] == 1:
+        return (np.vstack((a, a)) @ np.hstack((b, b)))[: a.shape[0], : b.shape[1]]
+    return a @ b
+
+
+def _expm_many(M):
+    """``exp`` of every matrix of the stack ``M`` (shape ``(..., m, m)``,
+    real or complex).
+
+    Degree-15 Taylor polynomial (Paterson-Stockmeyer, six products) of
+    ``M / 2^s``, with ``s`` per matrix the least that brings its Frobenius
+    norm to at most 1/2 (truncation error about 1e-18 relative), then ``s``
+    squarings.  A zero matrix gives exactly ``I``.  Each matrix gets the
+    same bits in any stack.  Overflow is not trapped: a result too large to
+    represent comes out non-finite.
+    """
+    shape = M.shape
+    m = shape[-1]
+    sq = np.einsum("...ij,...ij->...", M, M.conj() if np.iscomplexobj(M) else M).real
+    # frexp: |M|_F^2 < 2^e, so a scale of 2^-s with s >= e / 2 + 1 leaves at
+    # most 1/2.
+    s = (np.frexp(sq)[1] + 3) // 2
+    if not np.isfinite(sq).all():
+        # |M|_F^2 overflowed: |M|_F < m 2^e for the largest entry below 2^e.
+        e = np.frexp(np.abs(M).max(axis=(-2, -1)))[1]
+        s = np.where(np.isfinite(sq), s, e + (m - 1).bit_length() + 1)
+    s = np.maximum(s, 0)
+    powers = np.empty((4,) + shape, dtype=np.result_type(M, float))
+    powers[0] = np.eye(m)
+    X = np.multiply(M, np.ldexp(1.0, -s)[..., None, None], out=powers[1])
+    np.matmul(X, X, out=powers[2])
+    np.matmul(powers[2], X, out=powers[3])
+    X4 = powers[2] @ powers[2]
+    blocks = _gemm(_TAYLOR_PS, powers.reshape(4, -1)).reshape(powers.shape)
+    E = blocks[3]
+    for block in blocks[2::-1]:
+        E = E @ X4 + block
+    for level in range(int(s.max(initial=0))):
+        E = np.where((s > level)[..., None, None], E @ E, E)
+    return E
+
+
 def expm(M):
-    """Matrix exponential (scipy's scaling and squaring, Al-Mohy & Higham 2009)."""
-    return scipy.linalg.expm(_square(M))
+    """Matrix exponential: ``_expm_many`` of one matrix."""
+    return _expm_many(_square(M))
 
 
 def _principal_log_scalar(z):

@@ -16,12 +16,11 @@ so ``E = U11 + U12`` and ``J = U11^{-1} (U11 + U12) = I + U11^{-1} U12``.
 Gauss-Legendre nodes per step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 2009, §5).  A pass of ``N`` steps evaluates ``A`` and ``B`` once each on the
 nodes of every step, exponentiates all the steps' ``Omega`` in one stacked
-degree-15 Taylor exponential (each matrix scaled to a norm of at most 1/2,
-then squared back) and chains them by a batched prefix product.  ``N``
-starts at 2 and doubles until the node values of ``N`` and ``2N`` steps
-agree to ``ode_abs + ode_rel max|U|``; the ``2N`` pass is kept.  Constant
-coefficients make every step an exact block exponential (Van Loan, IEEE TAC
-1978), so they agree at the first comparison.
+degree-15 Taylor exponential (``linalg._expm_many``) and chains them by a
+batched prefix product.  ``N`` starts at 2 and doubles until the node values
+of ``N`` and ``2N`` steps agree to ``ode_abs + ode_rel max|U|``; the ``2N``
+pass is kept.  Constant coefficients make every step an exact block
+exponential (Van Loan, IEEE TAC 1978), so they agree at the first comparison.
 
 An interval is integrated once, from its argument value ``zeta_k`` to both
 ends, and its node values are cached; monodromy assembly integrates every
@@ -45,7 +44,7 @@ import numpy as np
 # Neither is called here; both stay bound because perfbench/tracing.py patches them by name.
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
-from .linalg import NumericalError, SingularMatrixError, det, inv, norm1
+from .linalg import NumericalError, SingularMatrixError, _expm_many, _gemm, det, inv, norm1
 from .model import SystemSpec
 
 __all__ = [
@@ -74,43 +73,12 @@ _GL3_COMB = np.array([
     [5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0],
     [-10.0 / 3.0, -40.0 / 3.0, -10.0 / 3.0],
 ]).T
-# Taylor coefficients 1/k!, k = 0..15, in Paterson-Stockmeyer blocks:
-# row j holds the coefficients of X^0..X^3 that multiply (X^4)^j.
-_TAYLOR_PS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 _N_START = 2  # steps of the first pass of every segment
 _N_MAX = 2**13  # most steps of one segment's pass
 _DENSE_BLOCK = 256  # most query times per batch of partial steps
 # Smallest relative tolerance the step doubling is asked to meet (scipy's
 # floor for its own steppers); below it roundoff decides the comparison.
 _RTOL_FLOOR = 100 * np.finfo(float).eps
-
-
-def _expm_many(M):
-    """``exp`` of every matrix of the stack ``M`` (shape ``(..., m, m)``).
-
-    Degree-15 Taylor polynomial (Paterson-Stockmeyer, six products) of
-    ``M / 2^s``, with ``s`` per matrix the least that brings its Frobenius
-    norm to at most 1/2 (truncation error about 1e-18 relative), then ``s``
-    squarings.  A zero matrix gives exactly ``I``.
-    """
-    shape = M.shape
-    # frexp: |M|_F^2 < 2^e, so a scale of 2^-s with s >= e / 2 + 1 leaves at
-    # most 1/2.
-    s = np.maximum((np.frexp(np.einsum("...ij,...ij->...", M, M))[1] + 3) // 2, 0)
-    powers = np.empty((4,) + shape)
-    powers[0] = np.eye(shape[-1])
-    X = np.multiply(M, np.ldexp(1.0, -s)[..., None, None], out=powers[1])
-    np.matmul(X, X, out=powers[2])
-    np.matmul(powers[2], X, out=powers[3])
-    X4 = powers[2] @ powers[2]
-    blocks = (_TAYLOR_PS @ powers.reshape(4, -1)).reshape(powers.shape)
-    E = blocks[3]
-    for block in blocks[2::-1]:
-        E = E @ X4 + block
-    for level in range(int(s.max(initial=0))):
-        sel = s > level
-        E[sel] = E[sel] @ E[sel]
-    return E
 
 
 def _comm(X, Y):
@@ -135,7 +103,7 @@ def _magnus_omega(A, B, t0, h):
     a = np.zeros((5,) + t0.shape + (2 * n, 2 * n))
     for cols, F in ((slice(0, n), A), (slice(n, 2 * n), B)):
         values = F._eval_many(ts)
-        combos = values.reshape(-1, 3) @ _GL3_COMB
+        combos = _gemm(values.reshape(-1, 3), _GL3_COMB)
         a[..., :n, cols] = combos.reshape(values.shape[:-1] + (5,)).transpose(axes)
     a *= h[..., None, None]
     a1, a2, a3_twice, gauss, left = a
@@ -207,18 +175,17 @@ def _magnus(A, B, tol, t0, t1):
             live, coarse = live[~done], fine[~done]
 
 
-def _fresh_flow(system, s, t):
-    """``U(t, s)`` from one fresh integration; the identity at ``t == s``."""
-    if t == s:
-        return np.eye(2 * system.n)
-    (_, U), = _magnus(system.A, system.B, system.tolerances, [s], [t])
-    return U[-1]
+def _fresh_flows(system, s, t):
+    """``U(t_i, s_i)`` for every pair of ``s`` and ``t``, stacked, from one
+    fresh batched integration.  Each segment closes on its own, so its value
+    does not depend on the others; a zero-length segment gives exactly ``I``."""
+    return np.stack([U[-1] for _, U in _magnus(system.A, system.B, system.tolerances, s, t)])
 
 
 def fundamental_matrix(system: SystemSpec, s: float, t: float) -> np.ndarray:
     """Fundamental matrix ``Phi(t, s)`` of z' = A(u) z, ``Phi(s, s) = I``."""
     n = system.n
-    return _fresh_flow(system, s, t)[:n, :n].copy()
+    return _fresh_flows(system, [s], [t])[0, :n, :n].copy()
 
 
 def _phi_j_e(top, n):
@@ -236,7 +203,7 @@ def _phi_j_e(top, n):
 def _flow_matrices(system, tau, t):
     """``(Phi(t, tau), J(t, tau), E(t, tau))`` from one fresh integration;
     all three are the identity at ``t == tau``."""
-    return _phi_j_e(_fresh_flow(system, tau, t)[: system.n], system.n)
+    return _phi_j_e(_fresh_flows(system, [tau], [t])[0, : system.n], system.n)
 
 
 def j_matrix(system: SystemSpec, tau: float, t: float) -> np.ndarray:
@@ -271,11 +238,8 @@ class IntervalOperators:
     _B: object
     _times: np.ndarray  # node times, ascending, from t_left to t_right
     _nodes: np.ndarray  # U(t_i, zeta), shape (len(_times), 2n, 2n)
-    E_left: np.ndarray
     E_right: np.ndarray
     E_left_inv: np.ndarray
-    J_left: np.ndarray
-    J_right: np.ndarray
 
     def _top_many(self, ts):
         """Top block rows ``[U11, U12]`` of ``U(t, zeta)`` for every time of
@@ -363,11 +327,8 @@ def _build_intervals(system):
             _B=system.B,
             _times=times,
             _nodes=nodes,
-            E_left=E_l,
             E_right=E_r,
             E_left_inv=inv(E_l),
-            J_left=J_l,
-            J_right=J_r,
         ))
     return tuple(ops)
 
@@ -390,12 +351,6 @@ def interval_operators(system: SystemSpec):
     return ops
 
 
-def _reduce(system, k):
-    """Base interval operators plus the period shift for a global index."""
-    m, j = divmod(k, system.p)
-    return interval_operators(system)[j], m * system.omega
-
-
 def w_local(system: SystemSpec, k: int, s: float, t: float) -> np.ndarray:
     """Within-interval propagator ``W(t, s) = E(t, zeta_k) E(s, zeta_k)^{-1}``.
 
@@ -403,11 +358,11 @@ def w_local(system: SystemSpec, k: int, s: float, t: float) -> np.ndarray:
     Raises ``SingularMatrixError`` when ``E(s, zeta_k)`` is singular to
     tolerance, which signals failure of the invertibility regime.
     """
-    ops, shift = _reduce(system, k)
+    m, j = divmod(k, system.p)
+    ops = interval_operators(system)[j]
     if t == s:
         return np.eye(system.n)
-    E_t = ops.e_at(t - shift)
-    E_s = ops.e_at(s - shift)
+    E_t, E_s = ops.e_many([t - m * system.omega, s - m * system.omega])
     return E_t @ inv(E_s)
 
 

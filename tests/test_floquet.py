@@ -462,8 +462,11 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
 
     monkeypatch.setattr(transition, "_magnus", counting)
     checks = structural_residuals(rotation_system, pairs=2)
-    # biperiodicity: 2 pairs x 2 shifts; cocycle: 2 x 3; liouville: 2
-    assert len(calls) == 12
+    # One batch of 12 segments. Biperiodicity: 2 pairs x 2 shifts;
+    # cocycle: 2 x 3; liouville: 2.
+    assert len(calls) == 1
+    t0, t1 = calls[0]
+    assert len(t0) == len(t1) == 12
     assert [(c.name, c.threshold) for c in checks] == [
         ("biperiodicity_phi", 1e-7),
         ("biperiodicity_j", 1e-7),

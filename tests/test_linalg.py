@@ -168,6 +168,38 @@ def test_expm_rejects_non_finite():
         expm(np.array([[np.nan]]))
 
 
+def test_expm_complex_single_and_stacked_against_scipy():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 5):
+        M = rng.standard_normal((30, m, m)) + 1j * rng.standard_normal((30, m, m))
+        M *= rng.uniform(0.0, 6.0 / m, (30, 1, 1))
+        stacked = la._expm_many(M)
+        for A, E in zip(M, stacked):
+            ref = scipy.linalg.expm(A)
+            assert np.abs(E - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), (m, A)
+            assert np.array_equal(expm(A), E)
+
+
+def test_expm_many_same_bits_alone_and_in_a_stack():
+    # numpy sends a product with one row or column (m = 1, one matrix) to a
+    # different BLAS routine; the kernel must not see the difference.
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 4):
+        for M in (rng.standard_normal((7, m, m)) * 3.0,
+                  rng.standard_normal((7, m, m)) + 1j * rng.standard_normal((7, m, m))):
+            stacked = la._expm_many(M)
+            for A, E in zip(M, stacked):
+                assert np.array_equal(la._expm_many(A), E)
+                assert np.array_equal(la._expm_many(A[None])[0], E)
+
+
+def test_expm_overflowing_norm_gives_zero_not_nan():
+    # |M|_F^2 overflows for these finite matrices, whose exponential is 0.
+    for M in (-1e160 * np.eye(2), -1e300 * np.eye(3), np.array([[-1e160 + 1e159j]])):
+        assert np.array_equal(expm(M), np.zeros_like(M))
+        assert np.array_equal(la._expm_many(np.stack([M, M]))[1], np.zeros_like(M))
+
+
 def test_expm_large_norm_scaling_path():
     rng = np.random.default_rng(6)
     M = _random_matrix(rng, 4, scale=8.0)  # forces several squarings

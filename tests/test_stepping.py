@@ -1,6 +1,7 @@
 """Regression tests for the Magnus transition layer (the stacked
 exponential, the N-vs-2N step doubling, the partial-step dense output) and
-the once-per-time evaluation in ``verify_normal_form``."""
+the batched reads of the verification checks, which must give the bits of
+the per-time reads they replace."""
 
 import json
 import math
@@ -34,12 +35,14 @@ from idepcag import (
     structural_residuals,
     verify_normal_form,
 )
-from idepcag import transition
+from idepcag import floquet, linalg, transition
 from idepcag.floquet import (
     _FD_STEP,
     NormalFormResiduals,
+    _cauchy_many,
     _fd5,
     _interior_samples,
+    _quad_signed,
 )
 
 BUNDLED = ("markus_yamabe", "rotation_2x2", "scalar_impulse", "sin_impulse")
@@ -175,6 +178,117 @@ def test_verify_normal_form_equals_unmemoised_reference(label, real):
     assert verify_normal_form(system, real=real) == expected
 
 
+def _load(label):
+    if label in GENERATED:
+        return load_system(_generated_doc(*GENERATED[label]))
+    return load_bundled_system(label)
+
+
+def _reference_state(system, k):
+    """``X(t_k)`` from one impulse-and-interval factor per breakpoint."""
+    ops = interval_operators(system)
+    X = np.eye(system.n)
+    for r in range(1, k + 1):
+        o = ops[(r - 1) % system.p]
+        X = system.impulse_factor(r) @ (o.E_right @ o.E_left_inv) @ X
+    return X
+
+
+def _reference_cauchy(system, t, left=False):
+    """``W(t, 0)``, or its left limit, read one time at a time: the local
+    factor from ``e_at`` times the state at the last breakpoint."""
+    ops = interval_operators(system)
+    grid = system.grid
+    k, m, j = grid.locate(t)
+    tk = grid.time_at(k)
+    if left and k >= 1 and abs(t - tk) <= 1e-12 * max(1.0, abs(tk)):
+        o = ops[(k - 1) % system.p]
+        return (o.E_right @ o.E_left_inv) @ _reference_state(system, k - 1)
+    local = ops[j].e_at(t - m * system.omega) @ ops[j].E_left_inv
+    return local @ _reference_state(system, k)
+
+
+@pytest.mark.parametrize("label", [*BUNDLED, *GENERATED])
+def test_cauchy_many_rows_equal_per_time_reads(label):
+    system = _load(label)
+    grid, omega = system.grid, system.omega
+    # t = 0, the breakpoints and anchors of three periods (advanced anchors
+    # included), times several periods out, and a time within the
+    # breakpoint tolerance; unsorted, with repeats.
+    ts = [0.0, *(grid.time_at(k) for k in range(1, 3 * system.p + 1)),
+          *(grid.arg_at(k) for k in range(3 * system.p)),
+          0.37 * omega, 4.61 * omega, 7.0 * omega, 2.0 * omega + 1e-13][::-1]
+    ts += ts[:4]
+    for left, per_time in ((False, cauchy_matrix), (True, cauchy_matrix_left)):
+        times = [t for t in ts if t > 0] if left else ts
+        rows = _cauchy_many(system, times, left=left)
+        assert rows.shape == (len(times), system.n, system.n)
+        for t, row in zip(times, rows):
+            assert np.array_equal(row, _reference_cauchy(system, t, left)), (left, t)
+            assert np.array_equal(per_time(system, t), row), (left, t)
+    assert np.array_equal(monodromy(system), _reference_state(system, system.p))
+
+
+def _reference_fresh_residuals(system, pairs, seed):
+    """The fresh-integration checks of ``structural_residuals``
+    (biperiodicity of Phi/J/E, cocycle, Liouville) with one integration per
+    ``(s, t)`` pair."""
+    omega = system.omega
+    rng = np.random.default_rng(seed)
+    worst = [0.0, 0.0, 0.0]
+    for _ in range(pairs):
+        s, t = rng.uniform(0.0, omega, size=2)
+        base = transition._flow_matrices(system, s, t)
+        shifted = transition._flow_matrices(system, s + omega, t + omega)
+        worst = [max(w, norm1(a - b)) for w, a, b in zip(worst, shifted, base)]
+    cocycle = 0.0
+    for _ in range(pairs):
+        s, u, t = np.sort(rng.uniform(0.0, omega, size=3))
+        prod = fundamental_matrix(system, u, t) @ fundamental_matrix(system, s, u)
+        cocycle = max(cocycle, norm1(prod - fundamental_matrix(system, s, t)))
+    liouville = 0.0
+    for _ in range(pairs):
+        s, t = np.sort(rng.uniform(0.0, omega, size=2))
+        expected = math.exp(_quad_signed(
+            lambda u: float(np.trace(system.A.eval(u))), s, t,
+            epsabs=1e-12, epsrel=1e-12, limit=400,
+        ))
+        got = np.linalg.det(fundamental_matrix(system, s, t))
+        liouville = max(liouville, abs(got - expected) / abs(expected))
+    return [*worst, cocycle, liouville]
+
+
+@pytest.mark.parametrize("pairs, seed", [(2, 20240802), (3, 5)])
+@pytest.mark.parametrize("label", [*BUNDLED, *GENERATED])
+def test_batched_fresh_residuals_equal_per_pair_reference(label, pairs, seed):
+    system = _load(label)
+    checks = structural_residuals(system, pairs=pairs, seed=seed)
+    assert [c.value for c in checks[:5]] == _reference_fresh_residuals(system, pairs, seed)
+
+
+def test_verification_checks_read_in_batches(monkeypatch):
+    system = _load("generated-3")
+    interval_operators(system)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verification check read one time or pair at a time")
+
+    reads, views = [], []
+    batched, view = floquet._cauchy_many, floquet.cauchy_matrix
+    monkeypatch.setattr(floquet, "_cauchy_many", lambda *a, **k: reads.append(a[1]) or batched(*a, **k))
+    monkeypatch.setattr(floquet, "cauchy_matrix", lambda *a: views.append(a[1]) or view(*a))
+    for owner, name in ((floquet, "cauchy_matrix_left"), (floquet, "q_factor"),
+                        (transition, "fundamental_matrix"), (transition, "_flow_matrices"),
+                        (transition.IntervalOperators, "e_at")):
+        monkeypatch.setattr(owner, name, refuse)
+    for real in (False, True):
+        reads.clear()
+        verify_normal_form(system, real=real)
+        assert len(reads) == 2 and views == []  # right limits, left limits
+    structural_residuals(system)
+    assert views == [system.omega]  # the monodromy_vs_cauchy check
+
+
 # ------------------------------------------------------ Magnus-Gauss stepping
 
 
@@ -184,7 +298,7 @@ def test_expm_many_matches_scipy_on_random_stacks():
         # Frobenius norms from 0 to ~8: most need squarings, a few none.
         M = rng.standard_normal((40, m, m)) * rng.uniform(0.0, 8.0 / m, (40, 1, 1))
         M[0] = 0.0
-        got = transition._expm_many(M)
+        got = linalg._expm_many(M)
         for A, E in zip(M, got):
             ref = scipy.linalg.expm(A)
             assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max(), (m, np.linalg.norm(A))
@@ -192,7 +306,7 @@ def test_expm_many_matches_scipy_on_random_stacks():
     # A 2-D stack, every matrix with the same norm.
     M = rng.standard_normal((3, 5, 4, 4))
     M *= 3.0 / np.linalg.norm(M, axis=(-2, -1), keepdims=True)
-    got = transition._expm_many(M)
+    got = linalg._expm_many(M)
     assert got.shape == M.shape
     for A, E in zip(M.reshape(-1, 4, 4), got.reshape(-1, 4, 4)):
         ref = scipy.linalg.expm(A)
@@ -243,15 +357,17 @@ def test_diagonal_trig_system_matches_closed_form():
 
 
 def test_e_many_matches_e_at_per_time():
-    system = load_system(_generated_doc(3, 3, ("advanced", "interior", "retarded")))
-    for ops in interval_operators(system):
-        # Both sides of zeta, every node and points between, in one batch
-        # longer than a dense-output block.
-        ts = np.concatenate((np.linspace(ops.t_left, ops.t_right, 300), ops._times))
-        stacked = ops.e_many(ts)
-        assert stacked.shape == (ts.size, 3, 3)
-        for t, E in zip(ts, stacked):
-            assert np.abs(E - ops.e_at(t)).max() <= 1e-14 * np.abs(E).max()
+    for seed, n, anchors in ((3, 3, ("advanced", "interior", "retarded")), (1, 1, ("interior",))):
+        system = load_system(_generated_doc(seed, n, anchors))
+        for ops in interval_operators(system):
+            # Both sides of zeta, every node and points between, in one batch
+            # longer than a dense-output block.  Bit for bit, also for n = 1,
+            # where numpy hands a one-time product to another BLAS routine.
+            ts = np.concatenate((np.linspace(ops.t_left, ops.t_right, 300), ops._times))
+            stacked = ops.e_many(ts)
+            assert stacked.shape == (ts.size, n, n)
+            for t, E in zip(ts, stacked):
+                assert np.array_equal(E, ops.e_at(t)), (n, t)
 
 
 def test_e_at_continuous_across_magnus_nodes():

@@ -33,6 +33,18 @@ def test_phi_zero_field_is_identity(scalar_system):
         assert np.array_equal(fundamental_matrix(scalar_system, s, t), np.eye(1))
 
 
+def test_flows_over_a_zero_length_segment_are_exactly_identity(rotation_system, my_system, sin_system):
+    # No special case: the Magnus pass of a zero-length segment is exactly I,
+    # alone and in a batch with other segments.
+    for system in (rotation_system, my_system, sin_system):
+        omega = system.omega
+        for t in (0.0, 0.3 * omega, omega, 2.6 * omega):
+            for op in (fundamental_matrix, j_matrix, e_matrix):
+                assert np.array_equal(op(system, t, t), np.eye(system.n)), (op.__name__, t)
+        U = transition._fresh_flows(system, [0.2, 0.5 * omega], [1.1 * omega, 0.5 * omega])
+        assert np.array_equal(U[1], np.eye(2 * system.n))
+
+
 def test_phi_markus_yamabe_liouville(my_system):
     # trace A = -1/2 everywhere, so det Phi(pi, 0) = exp(-pi/2)
     Phi = fundamental_matrix(my_system, 0.0, math.pi)
