@@ -13,6 +13,8 @@ and exponents, classifies stability, computes the normal form
 cross-validation integrator.
 """
 
+import logging
+
 from .expressions import Expression, ExpressionSyntaxError, parse_expression
 from .linalg import (
     ConvergenceError,
@@ -81,6 +83,9 @@ from .floquet import (
 from .simulate import Trajectory, max_discrepancy, solve_cauchy, solve_direct
 
 __version__ = "0.1.0"
+
+# Library records reach only the caller's handlers, never last-resort stderr.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "Expression",

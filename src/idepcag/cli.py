@@ -18,17 +18,18 @@ import argparse
 import io
 import logging
 import os
+import re
 import sys
 
 import numpy as np
 
 from .expressions import ExpressionSyntaxError
 from .floquet import (
+    _q_many,
     analyze,
     floquet_P,
     floquet_P_real,
     monodromy,
-    q_factor,
     structural_residuals,
     verify_normal_form,
 )
@@ -65,7 +66,9 @@ def _setup_logging():
     name = os.environ.get("FLOQUET_LOG", "warn").lower()
     if name not in levels:
         raise _UsageError(f"FLOQUET_LOG must be one of {sorted(levels)}, got {name!r}")
-    logging.basicConfig(level=levels[name], format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds a handler only once; the level must follow every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(levels[name])
 
 
 def _read(path):
@@ -208,7 +211,7 @@ def _cmd_factorize(args):
     factor = 2 if args.real else 1
     residuals = verify_normal_form(system, P=P, real=args.real)
     times = [i * factor * system.omega / args.samples for i in range(args.samples)]
-    q_values = [q_factor(system, P, t) for t in times]
+    q_values = _q_many(system, P, times)[1]
 
     if args.format == "csv":
         header = ["t"]
@@ -295,8 +298,8 @@ def _parse_range(text):
     return lo, hi
 
 
-def _sweep_row(template, param, value):
-    doc = template.replace(f"${param}", f"{value:.17g}")
+def _sweep_row(template, token, value):
+    doc = token.sub(f"{value:.17g}", template)
     try:
         system = load_system(doc)
         report = analyze(system)
@@ -311,13 +314,15 @@ def _sweep_row(template, param, value):
 
 def _cmd_sweep(args):
     template = _read(args.template)
-    if f"${args.param}" not in template:
+    # $NAME as a whole token: $A is not the start of $AC.
+    token = re.compile(re.escape(f"${args.param}") + r"(?![A-Za-z0-9_])")
+    if not token.search(template):
         raise _UsageError(f"template does not mention ${args.param}")
     if args.steps < 1:
         raise _UsageError("--steps must be at least 1")
     lo, hi = _parse_range(args.range)
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
-    rows = [_sweep_row(template, args.param, v) for v in values]
+    rows = [_sweep_row(template, token, v) for v in values]
     header = "value,multipliers,lyapunov,verdict,oscillatory"
     _write_out("\n".join([header] + rows) + "\n", args.out)
     return EXIT_OK

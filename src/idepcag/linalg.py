@@ -130,15 +130,8 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     condition_estimate: float
-
-
-def _sort_spectral(values, vectors=None):
-    order = np.lexsort((np.angle(values), -np.abs(values)))
-    if vectors is None:
-        return values[order], None
-    return values[order], vectors[:, order]
 
 
 def eig(M) -> Spectrum:
@@ -153,14 +146,10 @@ def eig(M) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     values = values.astype(complex)
-    values, vectors = _sort_spectral(values, vectors)
-    try:
-        cond = float(np.linalg.cond(vectors))
-    except np.linalg.LinAlgError:  # pragma: no cover
-        cond = np.inf
-    if not np.isfinite(cond):
-        cond = np.inf
-    return Spectrum(values, vectors, cond)
+    order = np.lexsort((np.angle(values), -np.abs(values)))
+    values, vectors = values[order], vectors[:, order]
+    cond = float(np.linalg.cond(vectors))
+    return Spectrum(values, vectors, cond if np.isfinite(cond) else np.inf)
 
 
 # Taylor coefficients 1/k!, k = 0..15, in Paterson-Stockmeyer blocks:
@@ -219,29 +208,51 @@ def expm(M):
     return _expm_many(_square(M))
 
 
-def _principal_log_scalar(z):
-    z = complex(z)
-    if z == 0:
-        raise SingularMatrixError("logarithm of a singular matrix (zero eigenvalue)")
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)  # normalize -0.0j so arg(-1) is +pi, not -pi
-    return complex(np.log(z))
-
-
 _EIG_COND_SWITCH = 1e8
 # Eigenvalues of a defective matrix are accurate to about sqrt(eps) relative,
 # so an eigenvalue this close to the negative real axis may lie on it.
 _CUT_RTOL = 1e-6
+_REALIFY_ATOL = 1e-9
+
+
+def _logm(M, spec, square=False):
+    """Principal log of ``M``, or when ``square`` the real log of ``M @ M``,
+    from the spectrum ``spec`` of ``M``: ``V diag(Log rho_j) V^-1`` (``rho_j``
+    squared when ``square``) while the eigenvectors are well conditioned
+    (condition number at most 1e8), which stays exact when ``M`` has both
+    ``rho`` and ``-rho``; otherwise (defective or nearly defective ``M``)
+    ``scipy.linalg.logm``, the inverse scaling-and-squaring algorithm of
+    Al-Mohy & Higham (2012)."""
+    rho = spec.eigenvalues * spec.eigenvalues if square else spec.eigenvalues
+    target = M @ M if square else M
+    if np.min(np.abs(rho)) <= 1e-14 * max(norm1(target), 1.0):
+        raise SingularMatrixError("logarithm of a singular matrix")
+    if spec.condition_estimate <= _EIG_COND_SWITCH:
+        V = spec.eigenvectors
+        # +0.0j on the real axis, so Log(-1) is +i pi, not -i pi
+        L = V @ np.diag(np.log(np.where(rho.imag == 0.0, rho.real + 0j, rho))) @ inv(V)
+    elif np.any((rho.real < 0) & (np.abs(rho.imag) <= _CUT_RTOL * np.abs(rho))):
+        raise ConvergenceError(
+            "no principal logarithm: defective matrix with an eigenvalue on "
+            "the closed negative real axis"
+        )
+    else:
+        L = scipy.linalg.logm(target)
+    if not square:
+        return L
+    residue = float(np.abs(L.imag).max()) if np.iscomplexobj(L) else 0.0
+    if residue > _REALIFY_ATOL * max(1.0, norm1(L)):
+        raise RealificationError(
+            f"principal log of the squared matrix is not real "
+            f"(imaginary residue {residue:.3e}); the spectrum of the input "
+            f"pairs on the imaginary axis"
+        )
+    return np.ascontiguousarray(L.real)
 
 
 def logm_principal(M):
     """Principal matrix logarithm: ``expm(L) = M`` with eigenvalue
-    imaginary parts in ``(-pi, pi]``.
-
-    A diagonalization path is used while the eigenvector matrix is well
-    conditioned (condition number at most 1e8).  Otherwise (defective or
-    nearly defective ``M``) the log comes from ``scipy.linalg.logm``, the
-    inverse scaling-and-squaring algorithm of Al-Mohy & Higham (2012).
+    imaginary parts in ``(-pi, pi]``; ``_logm`` of ``M`` and ``eig(M)``.
 
     Raises
     ------
@@ -252,45 +263,19 @@ def logm_principal(M):
         negative real axis, where no principal log exists.
     """
     M = _square(M)
-    spec = eig(M)
-    if np.min(np.abs(spec.eigenvalues)) <= 1e-14 * max(norm1(M), 1.0):
-        raise SingularMatrixError("logarithm of a singular matrix")
-
-    if spec.condition_estimate <= _EIG_COND_SWITCH and spec.eigenvectors is not None:
-        logvals = np.array([_principal_log_scalar(z) for z in spec.eigenvalues])
-        V = spec.eigenvectors
-        return V @ np.diag(logvals) @ inv(V)
-
-    rho = spec.eigenvalues
-    if np.any((rho.real < 0) & (np.abs(rho.imag) <= _CUT_RTOL * np.abs(rho))):
-        raise ConvergenceError(
-            "no principal logarithm: defective matrix with an eigenvalue on "
-            "the closed negative real axis"
-        )
-    return scipy.linalg.logm(M)
-
-
-_REALIFY_ATOL = 1e-9
+    return _logm(M, eig(M))
 
 
 def logm_real_doubled(M):
     """Real logarithm of the square: real ``L`` with ``expm(L) = M @ M``.
 
-    Computes the principal log of ``M^2`` and strips an imaginary residue
-    below 1e-9; a larger residue (which occurs when ``M`` has a purely
-    imaginary eigenvalue pair, so ``M^2`` has negative real eigenvalues)
-    is reported as a defect.
+    The principal log of ``M^2`` from the spectrum of ``M``, with an
+    imaginary residue below 1e-9 stripped; a larger residue (which occurs
+    when ``M`` has a purely imaginary eigenvalue pair, so ``M^2`` has
+    negative real eigenvalues) raises ``RealificationError``.
     """
     M = _square(M)
     if np.iscomplexobj(M) and np.abs(M.imag).max() > 0.0:
         raise ValueError("logm_real_doubled expects a real matrix")
     M = M.real.astype(float)
-    L = logm_principal(M @ M)
-    residue = float(np.abs(L.imag).max()) if np.iscomplexobj(L) else 0.0
-    if residue > _REALIFY_ATOL * max(1.0, norm1(L)):
-        raise RealificationError(
-            f"principal log of the squared matrix is not real "
-            f"(imaginary residue {residue:.3e}); the spectrum of the input "
-            f"pairs on the imaginary axis"
-        )
-    return np.ascontiguousarray(L.real)
+    return _logm(M, eig(M), square=True)

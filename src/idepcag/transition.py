@@ -265,12 +265,6 @@ class IntervalOperators:
             np.matmul(step[:, : self.n], self._nodes[k[at]], out=top[at])
         return top
 
-    def phi_at(self, t: float) -> np.ndarray:
-        return self._top_many(t)[0, :, : self.n]
-
-    def j_at(self, t: float) -> np.ndarray:
-        return _phi_j_e(self._top_many(t)[0], self.n)[1]
-
     def e_at(self, t: float) -> np.ndarray:
         return self.e_many(t)[0]
 

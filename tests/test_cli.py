@@ -1,12 +1,17 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from idepcag import bundled_system_path, load_bundled_system, w_local
+import idepcag
+from idepcag import analyze, bundled_system_path, load_bundled_system, w_local
 from idepcag.cli import main
 from conftest import scalar_doc, sin_doc
 
@@ -113,7 +118,7 @@ def _jordan_doc(impulse):
 
 def test_analyze_defective_monodromy_takes_scipy_logm(tmp_path, capsys):
     # The eigenvectors of a Jordan block are dependent, so P comes from
-    # the defective-matrix branch of logm_principal.
+    # the defective-matrix branch of linalg._logm.
     path = _write(tmp_path, "jordan.json", _jordan_doc(0.0))
     code, report = _analyze_json(capsys, path)
     assert code == 0
@@ -245,6 +250,38 @@ def test_factorize_csv_output(capsys):
     assert len(lines) == 6
 
 
+# ----------------------------------------------------------------- logging
+
+
+def test_library_analyze_writes_nothing_to_stderr(capfd, caplog):
+    # A library caller that configures no logging gets no stderr output from
+    # logging's last-resort handler.  Under pytest the root logger always has
+    # handlers, so the caller runs in a fresh interpreter.
+    src = Path(idepcag.__file__).resolve().parents[1]
+    script = "import idepcag; idepcag.analyze(idepcag.load_bundled_system('scalar_impulse'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    assert capfd.readouterr().err == ""
+    with caplog.at_level("WARNING", logger="idepcag"):
+        analyze(load_bundled_system("scalar_impulse"))
+    assert any("invertibility bounds exceeded" in r.getMessage() for r in caplog.records)
+    assert capfd.readouterr().err == ""
+
+
+def test_floquet_log_honored_on_every_call(monkeypatch, caplog, capsys):
+    # scalar_impulse exceeds its invertibility bounds, which logs a warning.
+    seen = []
+    try:
+        for level in ("warn", "error", "warn"):
+            monkeypatch.setenv("FLOQUET_LOG", level)
+            caplog.clear()
+            assert main(["analyze", _spec("scalar_impulse")]) == 0
+            seen.append(any("invertibility bounds" in r.getMessage() for r in caplog.records))
+    finally:
+        logging.getLogger("idepcag").setLevel(logging.NOTSET)
+    assert seen == [True, False, True]
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -298,6 +335,10 @@ def test_sweep_reproduces_behavior_table(capsys):
 def test_sweep_requires_token_in_template(tmp_path, capsys):
     path = _write(tmp_path, "plain.json", sin_doc(0.5))
     assert main(["sweep", path, "--param", "AC", "--range=0:1", "--steps", "3"]) == 1
+    # $A is not a token of a template that mentions only $AC.
+    assert main(["sweep", _spec("scalar_table_template"), "--param", "A",
+                 "--range=0:1", "--steps", "3"]) == 1
+    assert "does not mention $A" in capsys.readouterr().err
 
 
 def test_sweep_bad_range_exit_1(capsys):

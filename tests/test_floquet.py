@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import idepcag.floquet as floquet
+import idepcag.linalg as linalg
 from idepcag import (
     BOUNDED_NON_PERIODIC,
     EXPONENTIALLY_STABLE,
@@ -25,6 +28,7 @@ from idepcag import (
     fundamental_matrix,
     interval_operators,
     is_oscillatory,
+    load_bundled_system,
     load_system,
     monodromy,
     norm1,
@@ -440,6 +444,50 @@ def test_analyze_includes_real_generator_when_it_exists(scalar_system, rotation_
     assert analyze(rotation_system).P_real is not None
 
 
+def _principal_log_reference(X):
+    """``V diag(Log rho) V^-1`` from a spectrum of its own, one eigenvalue at
+    a time."""
+    spec = linalg.eig(X)
+    V = spec.eigenvectors
+    logs = [complex(np.log(complex(z.real, 0.0) if z.imag == 0.0 else z)) for z in spec.eigenvalues]
+    return V @ np.diag(logs) @ linalg.inv(V)
+
+
+@pytest.mark.parametrize("name", ["scalar_impulse", "sin_impulse", "rotation_2x2", "markus_yamabe"])
+def test_analyze_takes_one_eigendecomposition(monkeypatch, name):
+    system = load_bundled_system(name)
+    eigs, reads = [], []
+    cauchy_many = floquet._cauchy_many
+    counted = lambda M: eigs.append(M) or eig(M)
+    monkeypatch.setattr(floquet, "eig", counted)
+    monkeypatch.setattr(linalg, "eig", counted)
+    monkeypatch.setattr(floquet, "_cauchy_many", lambda *a, **k: reads.append(a[1]) or cauchy_many(*a, **k))
+    report = analyze(system)
+    # The multipliers, P and P_real all come from the one spectrum of X.
+    assert len(eigs) == 1 and reads == []
+    X, omega = report.monodromy, system.omega
+    assert np.array_equal(report.P, _principal_log_reference(X) / omega)
+    ref = scipy.linalg.logm(X @ X).real / (2.0 * omega)
+    assert norm1(report.P_real - ref) <= 1e-12 * max(1.0, norm1(ref))
+    eigs.clear()
+    structural_residuals(system)
+    assert len(eigs) == 1
+
+
+@pytest.mark.parametrize("name", ["sin_impulse", "markus_yamabe"])
+@pytest.mark.parametrize("real", [False, True])
+def test_q_samples_in_one_read_equal_q_factor(name, real):
+    system = load_bundled_system(name)
+    X, omega = monodromy(system), system.omega
+    P = floquet_P_real(X, omega) if real else floquet_P(X, omega)
+    factor = 2 if real else 1
+    times = [i * factor * omega / 7 for i in range(7)] + list(system.grid.times[1:])
+    W, Q = floquet._q_many(system, P, times)
+    for t, w, q in zip(times, W, Q):
+        assert np.array_equal(w, cauchy_matrix(system, t))
+        assert np.array_equal(q, q_factor(system, P, t))
+
+
 def test_structural_residuals_pass_on_bundled(sin_system):
     checks = structural_residuals(sin_system)
     assert all(c.passed for c in checks)
@@ -473,7 +521,6 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
         ("biperiodicity_e", 1e-7),
         ("cocycle", 1e-8),
         ("liouville", 1e-8),
-        ("monodromy_vs_cauchy", 1e-8),
         ("det_vs_multipliers", 1e-8),
         ("expm_p_roundtrip", 1e-8),
         ("factorization", 1e-6),

@@ -305,6 +305,21 @@ def test_real_doubled_quarter_turn_reports_defect():
         logm_real_doubled(R)
 
 
+def test_real_doubled_opposite_eigenvalues_match_scipy():
+    # X has rho and -rho as eigenvalues (a real pair and a complex quartet),
+    # so X @ X repeats every eigenvalue; its log comes from the eigenvectors
+    # of X.
+    c, s = math.cos(0.7), math.sin(0.7)
+    D = scipy.linalg.block_diag(1.5, -1.5, 0.8 * np.array([[c, -s], [s, c]]),
+                                -0.8 * np.array([[c, -s], [s, c]]))
+    S = np.random.default_rng(11).standard_normal((6, 6))
+    X = S @ D @ np.linalg.inv(S)
+    L = logm_real_doubled(X)
+    ref = scipy.linalg.logm(X @ X).real
+    assert L.dtype.kind == "f"
+    assert norm1(L - ref) <= 1e-12 * norm1(ref)
+
+
 def test_real_doubled_rejects_complex_input():
     with pytest.raises(ValueError):
         logm_real_doubled(np.array([[1.0 + 1.0j]]))

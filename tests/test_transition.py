@@ -125,15 +125,17 @@ def test_e_at_anchor_is_identity(rotation_system):
 def test_interval_operator_anchor_exact(rotation_system):
     ops = interval_operators(rotation_system)[0]
     assert np.array_equal(ops.e_at(ops.zeta), np.eye(2))
-    assert np.array_equal(ops.j_at(ops.zeta), np.eye(2))
-    assert np.array_equal(ops.phi_at(ops.zeta), np.eye(2))
+    phi, j, _ = transition._phi_j_e(ops._top_many(ops.zeta)[0], 2)
+    assert np.array_equal(j, np.eye(2))
+    assert np.array_equal(phi, np.eye(2))
 
 
 def test_interval_operator_matches_direct_integration(rotation_system):
     ops = interval_operators(rotation_system)[0]
     for t in (1.0, 3.0, 6.0):
         assert norm1(ops.e_at(t) - e_matrix(rotation_system, 0.0, t)) <= 1e-9
-        assert norm1(ops.phi_at(t) - fundamental_matrix(rotation_system, 0.0, t)) <= 1e-9
+        phi = ops._top_many(t)[0, :, :2]
+        assert norm1(phi - fundamental_matrix(rotation_system, 0.0, t)) <= 1e-9
 
 
 def test_interval_operator_rejects_outside_time(rotation_system):
@@ -142,7 +144,7 @@ def test_interval_operator_rejects_outside_time(rotation_system):
         ops.e_at(TWO_PI + 0.5)
 
 
-@pytest.mark.parametrize("read", ["phi_at", "j_at", "e_at"])
+@pytest.mark.parametrize("read", ["_top_many", "e_at"])
 def test_interval_operator_rejects_nan_time(rotation_system, read):
     ops = interval_operators(rotation_system)[0]
     with pytest.raises(ValueError, match="outside interval"):
