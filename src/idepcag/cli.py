@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import logging
+import math
 import os
 import re
 import sys
@@ -26,9 +27,11 @@ import numpy as np
 from .expressions import ExpressionSyntaxError
 from .floquet import (
     _q_many,
+    _spectral_core,
     analyze,
     floquet_P,
     floquet_P_real,
+    is_oscillatory,
     monodromy,
     structural_residuals,
     verify_normal_form,
@@ -295,21 +298,24 @@ def _parse_range(text):
         lo, hi = float(lo_text), float(hi_text)
     except ValueError as exc:
         raise _UsageError(f"--range must be LO:HI, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError(f"--range bounds must be finite, got {text!r}")
     return lo, hi
 
 
 def _sweep_row(template, token, value):
     doc = token.sub(f"{value:.17g}", template)
     try:
-        system = load_system(doc)
-        report = analyze(system)
+        # The spectral core of analyze: its columns and all of its failures,
+        # without the invertibility bounds and residuals no column prints.
+        _, data, verdict, _, _ = _spectral_core(load_system(doc))
     except (ValidationError, ExpressionSyntaxError, NumericalError) as exc:
         reason = str(exc).splitlines()[0].replace(",", ";")
         return f"{value:.12e},,,Error: {reason},"
-    multipliers = ";".join(_fmt_complex(z) for z in report.multipliers)
-    lyapunov = ";".join(f"{x:.12e}" for x in report.lyapunov)
-    oscillatory = "true" if report.oscillatory else "false"
-    return f"{value:.12e},{multipliers},{lyapunov},{report.verdict},{oscillatory}"
+    multipliers = ";".join(_fmt_complex(z) for z in data.multipliers)
+    lyapunov = ";".join(f"{x:.12e}" for x in data.lyapunov)
+    oscillatory = "true" if is_oscillatory(data.multipliers) else "false"
+    return f"{value:.12e},{multipliers},{lyapunov},{verdict},{oscillatory}"
 
 
 def _cmd_sweep(args):

@@ -634,9 +634,10 @@ def _spectral_residuals(X, omega, data, P):
     }
 
 
-def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
-    """Monodromy, multipliers, exponents, generators (``floquet_P`` and
-    ``floquet_P_real``, both from the one spectrum) and stability verdict."""
+def _spectral_core(system, n_max=N_MAX_DEFAULT):
+    """``(X, data, verdict, P, P_real)``: every step of ``analyze`` that can
+    raise once the system has loaded.  ``P_real`` is None when the squared
+    monodromy has no real logarithm."""
     X = monodromy(system)
     data = floquet_exponents(X, system.omega)
     verdict = classify(data.multipliers, X, system.tolerances.alg, n_max=n_max)
@@ -645,6 +646,14 @@ def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
         P_real = _logm(X, data.spectrum, square=True) / (2.0 * system.omega)
     except RealificationError:
         P_real = None
+    return X, data, verdict, P, P_real
+
+
+def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
+    """Monodromy, multipliers, exponents, generators (``floquet_P`` and
+    ``floquet_P_real``, both from the one spectrum) and stability verdict,
+    with the invertibility bounds and the spectral residuals."""
+    X, data, verdict, P, P_real = _spectral_core(system, n_max)
     return FloquetReport(
         n=system.n,
         omega=system.omega,

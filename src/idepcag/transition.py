@@ -504,8 +504,13 @@ def _norm_integrals(matfun, name, pieces):
     ``|K_parent - (K_left + K_right)| / 2``.  Empty pieces are exactly 0.0,
     and a non-finite sample makes the integral ``inf`` at once.  When the
     next level would take the subintervals past ``_GK_LIMIT``, every
-    integral still open stops with a warning.
+    integral still open stops with a warning.  A matrix of constant entries
+    takes the closed form ``|M|_1 (b - a)``, with no sample and no level.
     """
+    if all(expr.is_constant() for row in matfun.entries for expr in row):
+        norm = norm1(matfun.eval(0.0))
+        norm = norm if math.isfinite(norm) else math.inf
+        return [norm * (b - a) if b > a else 0.0 for a, b in pieces]
     starts, ends = np.array(pieces, dtype=float).T
     width = ends - starts
     m = len(pieces)

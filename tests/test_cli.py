@@ -346,6 +346,81 @@ def test_sweep_bad_range_exit_1(capsys):
                  "--range", "nonsense", "--steps", "3"]) == 1
 
 
+@pytest.mark.parametrize("bounds", ["nan:1", "0:inf", "-inf:0", "nan:nan"])
+def test_sweep_non_finite_range_exit_1(capfd, bounds):
+    assert main(["sweep", _spec("scalar_table_template"), "--param", "AC",
+                 f"--range={bounds}", "--steps", "3"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: --range bounds must be finite, got {bounds!r}\n"
+
+
+def _trig_template(param_in_a):
+    """n = 2, p = 2 template with ``$EPS`` scaling ``B`` (interior anchors),
+    or shifting the diagonal of ``A`` (the second anchor advanced)."""
+    A = [["-0.3 + 0.4*sin(2*pi*t)", "0.2*cos(2*pi*t)"],
+         ["-0.1", "0.1 - 0.5*cos(4*pi*t + 0.7)"]]
+    B = [["0.6*sin(2*pi*t + 1.1)", "0.3"],
+         ["-0.4*cos(2*pi*t)", "0.5 + 0.2*sin(4*pi*t)"]]
+    if param_in_a:
+        A = [[f"$EPS + {e}" if i == j else e for j, e in enumerate(row)] for i, row in enumerate(A)]
+    else:
+        B = [[f"($EPS)*({e})" for e in row] for row in B]
+    return json.dumps({
+        "n": 2,
+        "omega": 1.0,
+        "p": 2,
+        "times": [0.0, 0.45, 1.0],
+        "args": [0.2, 1.0 if param_in_a else 0.7],
+        "A": A,
+        "B": B,
+        "impulses": [[[0.1, 0.0], [0.05, -0.2]], [[-0.1, 0.2], [0.0, 0.15]]],
+    })
+
+
+def _analyze_cells(doc, value):
+    """The sweep row of ``value`` formatted from ``analyze`` of ``doc``."""
+    try:
+        report = analyze(idepcag.load_system(doc))
+    except idepcag.NumericalError as exc:
+        reason = str(exc).splitlines()[0].replace(",", ";")
+        return [f"{value:.12e}", "", "", f"Error: {reason}", ""]
+    return [
+        f"{value:.12e}",
+        ";".join(f"{z.real:.12e}{z.imag:+.12e}i" for z in report.multipliers),
+        ";".join(f"{x:.12e}" for x in report.lyapunov),
+        str(report.verdict),
+        "true" if report.oscillatory else "false",
+    ]
+
+
+@pytest.mark.parametrize("template, param, lo, hi, steps", [
+    ("b", "EPS", -1.0, 1.0, 5),
+    ("a", "EPS", -0.5, 0.5, 5),
+    ("scalar", "AC", -2.0, 2.0, 9),
+])
+def test_sweep_rows_equal_analyze(tmp_path, capsys, monkeypatch, template, param, lo, hi, steps):
+    if template == "scalar":
+        text = bundled_system_path("scalar_table_template").read_text()
+    else:
+        text = _trig_template(param_in_a=template == "a")
+    path = _write(tmp_path, "template.json", text)
+    values = np.linspace(lo, hi, steps)
+    expected = [_analyze_cells(text.replace(f"${param}", f"{v:.17g}"), v) for v in values]
+    assert any(cells[3].startswith("Error:") for cells in expected) == (template == "scalar")
+
+    def never(*args):
+        raise AssertionError("sweep computed a column it does not print")
+
+    # Rows skip the invertibility bounds and the residuals of analyze.
+    monkeypatch.setattr(idepcag.floquet, "hypothesis_check", never)
+    monkeypatch.setattr(idepcag.floquet, "_spectral_residuals", never)
+    assert main(["sweep", path, "--param", param, f"--range={lo!r}:{hi!r}",
+                 "--steps", str(steps)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",") for row in rows] == expected
+
+
 def test_sweep_serial_matches_pooled_output(capsys):
     # tests/data/scalar_table_sweep.csv pins the sweep's bytes, roundoff
     # included; it was last written by the serial sweep after the transition

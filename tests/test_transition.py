@@ -498,4 +498,24 @@ def test_non_finite_norm_between_load_samples_fails_the_regime(monkeypatch):
     assert math.isinf(report.sigma)
     assert report.nu_plus == report.nu_minus == (0.0,)  # B = 0, not inf * 0
     assert not report.passed
-    assert calls == [(2, 17), (2, 17)]  # one level each for A and B: no refinement
+    # One level for A, no refinement; B = 0 is constant and takes no sample.
+    assert calls == [(2, 17)]
+
+
+def test_constant_norm_integral_is_closed_form(monkeypatch):
+    # Constant entries of every expression kind; the anchors at 0.3 and 2.5
+    # (advanced) give pieces of unequal width and one empty piece.
+    system = load_system(_doc(
+        [["-0.7", "2^3*0.125"], ["exp(0.2) - 1.5", "cos(1) * (3 - 4)"]],
+        [["0.25", "0"], ["-(1.5)", "sin(2)"]],
+        times=(0.0, 1.1, 2.5), args=(0.3, 2.5),
+    ))
+    monkeypatch.setattr(type(system.A), "_eval_many", lambda mf, ts: pytest.fail("sampled"))
+    pieces = _halves(system)
+    assert (2.5, 2.5) in pieces
+    for matfun in (system.A, system.B):
+        expected = [norm1(matfun.eval(0.0)) * (b - a) for a, b in pieces]
+        got = transition._norm_integrals(matfun, "M", pieces)
+        assert got == expected and got[-1] == 0.0
+    report = hypothesis_check(system)  # no sample on either matrix
+    assert report.sigma_plus[0] == math.exp(norm1(system.A.eval(0.0)) * 0.3)
