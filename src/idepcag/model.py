@@ -268,14 +268,25 @@ class SystemSpec:
         )
 
 
+def _number(value, path, finite=False):
+    """``value`` as a float: a JSON number, not a bool, and finite if asked."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError("expected a number", path)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if finite and not math.isfinite(value):
+        raise ValidationError("expected a finite number", path)
+    return value
+
+
 def _require(doc, key, kind, path=""):
     if key not in doc:
         raise ValidationError("missing required field", f"{path}{key}")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError("expected a number", f"{path}{key}")
-        return float(value)
+        return _number(value, f"{path}{key}")
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError("expected an integer", f"{path}{key}")
@@ -320,7 +331,7 @@ def load_system(text: str) -> SystemSpec:
     times_raw = _require(doc, "times", list)
     if len(times_raw) != p + 1:
         raise ValidationError(f"expected {p + 1} breakpoints", "times")
-    times = [float(v) for v in times_raw]
+    times = [_number(v, f"times[{k}]", finite=True) for k, v in enumerate(times_raw)]
     if abs(times[0]) > 0.0:
         raise ValidationError("first breakpoint must be 0", "times[0]")
     for k in range(p):
@@ -336,7 +347,7 @@ def load_system(text: str) -> SystemSpec:
     args_raw = _require(doc, "args", list)
     if len(args_raw) != p:
         raise ValidationError(f"expected {p} argument values", "args")
-    args = [float(v) for v in args_raw]
+    args = [_number(v, f"args[{k}]", finite=True) for k, v in enumerate(args_raw)]
     for k in range(p):
         if not (times[k] <= args[k] <= times[k + 1]):
             raise ValidationError(
@@ -376,16 +387,14 @@ def load_system(text: str) -> SystemSpec:
     if not isinstance(tol_raw, dict):
         raise ValidationError("expected an object", "tolerances")
     defaults = Tolerances()
-    tol = Tolerances(
-        ode_abs=float(tol_raw.get("ode_abs", defaults.ode_abs)),
-        ode_rel=float(tol_raw.get("ode_rel", defaults.ode_rel)),
-        alg=float(tol_raw.get("alg", defaults.alg)),
-    )
+    tol = {}
     for name in ("ode_abs", "ode_rel", "alg"):
-        if getattr(tol, name) <= 0:
-            raise ValidationError("tolerances must be positive", f"tolerances.{name}")
+        path = f"tolerances.{name}"
+        tol[name] = _number(tol_raw.get(name, getattr(defaults, name)), path, finite=True)
+        if tol[name] <= 0:
+            raise ValidationError("tolerances must be positive", path)
 
-    return SystemSpec(n, A, B, tuple(impulses), grid, omega, tol)
+    return SystemSpec(n, A, B, tuple(impulses), grid, omega, Tolerances(**tol))
 
 
 def load_system_file(path) -> SystemSpec:

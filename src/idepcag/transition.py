@@ -29,7 +29,13 @@ Magnus step from the node at or left of ``t``, batched over the query
 times.  The norm integrals of the invertibility diagnostics use a batched
 adaptive Gauss-Kronrod 7-15 rule: one vectorized evaluation of the
 coefficient matrix per refinement level, over every half-interval of the
-period.
+period.  As in QUADPACK's ``qagp`` (Piessens et al. 1983), a subinterval
+whose error is held up by a kink of the norm (an entry of the max column
+changing sign, or the max moving to another column) is split at the kink,
+located by a vectorized Illinois search on the bracketing samples, rather
+than bisected toward it.  The kink then sits on the end of two children,
+where the end-cell bounds of ``_gk15`` charge it ~0 for a sign change and
+for a column switch alike.
 """
 
 from __future__ import annotations
@@ -420,8 +426,14 @@ _GK_KINK = np.array([
 _NORM_TOL = 1e-10  # absolute and relative goal of each norm integral
 # Most subintervals, over all pieces, of one matrix's norm integrals.  It
 # ends the refinement and bounds the memory of a level (at most this many
-# 17-sample evaluations of the matrix); |sin(100 pi t)| takes ~2800 on [0, 1].
+# 17-sample evaluations of the matrix); |sin(100 pi t)| takes 200 on [0, 1]
+# (~2800 with bisection alone).
 _GK_LIMIT = 4000
+_KINK_FTOL = 1e-13  # a kink is located where its function is this share of the norm
+_KINK_ITER = 60  # most Illinois iterations of one kink search
+# Kinks closer than this share of a subinterval's width to one of its ends,
+# or to each other, do not split it.
+_KINK_GAP = 1e-9
 
 
 def _norm_samples(matfun, ts):
@@ -434,9 +446,18 @@ def _norm_samples(matfun, ts):
     return M, cols, cols.max(axis=0)
 
 
+def _kink_rows(M, cols):
+    """The ``n^2`` entries of ``M`` (shape ``(n, n, m)``), its ``n`` column
+    sums ``cols`` and a zero row, stacked to shape ``(n^2 + n + 1, m)``: the
+    function of a kink is the difference of two rows."""
+    m = cols.shape[1]
+    return np.concatenate((M.reshape(M.shape[0] ** 2, m), cols, np.zeros((1, m))))
+
+
 def _gk15(matfun, lo, hi):
     """Gauss-Kronrod 7-15 of ``|matfun|_1`` on every ``[lo, hi]``: the
-    Kronrod values and their error estimates.
+    Kronrod values, their error estimates, and for ``_kink_brackets`` the
+    sample times, entries and column sums with each cell's kink ``change``.
 
     Each subinterval is sampled at its 15 nodes and both ends; a cell is
     the span between two neighbouring samples.  ``|K15 - G7|`` can miss a
@@ -446,10 +467,19 @@ def _gk15(matfun, lo, hi):
       to another column inside a cell.  A kink of slope jump ``2 s`` costs
       the rule ``s h^2`` times its error on ``|t - u|``, and ``s`` is at
       most the change across the cell (of the entry, or of the difference
-      of the two columns) over the cell's width: hence
-      ``h * change * _GK_KINK[cell]``;
+      ``D`` of the two columns) over the cell's width: hence
+      ``h * change * _GK_KINK[cell]``.  In an end cell the error is exactly
+      ``s d^2`` for a kink ``d`` from the end, and the chord puts ``d`` at
+      the value at the end over the slope: ``|entry|`` over the entry's,
+      or the gap between the two columns over ``|D'|``.  So a kink on an
+      end, where ``_norm_integrals`` splits at a located kink, costs ~0
+      (``|D'|`` is the change of ``D`` across the end cell over its width);
     * bumps, where a column below the max at both ends of a cell passes it
-      in between, as far as its chord and curvature allow.
+      in between, as far as its chord and curvature allow;
+    * dips, where an entry of the max column keeps its sign at both ends of
+      a cell but may cross zero in between (``_dips``).  The rules
+      integrate ``0.875 + sin(10 pi t)`` over [0, 1] exactly, with no
+      sample in its five dips below zero.
 
     A non-finite sample makes its Kronrod value non-finite (the weights
     are positive, the norms are not negative).
@@ -466,30 +496,178 @@ def _gk15(matfun, lo, hi):
         step = np.abs(M[..., 1:] - M[..., :-1])
         flips = (M[..., 1:] * M[..., :-1] < 0) & top_cell
         change = flips * step
-        # In an end cell the error is exactly s d^2 for a kink d from the
-        # end, and the entry's chord puts d at |entry at the end| / s.
         edge = np.abs(M[..., [0, -1]])
         change[..., [0, -1]] = np.where(flips[..., [0, -1]], edge**2 / step[..., [0, -1]], 0.0)
         # Where the max moves from column a to column b, the slope jumps by
         # |D'| for D = C_a - C_b, and D changes across the cell by b's gap
-        # below the max at the left end plus a's at the right end.
-        kinks = change.sum(axis=(0, 1)) - (
-            np.where(top[..., 1:], below[..., :-1], 0.0).min(axis=0)
-            + np.where(top[..., :-1], below[..., 1:], 0.0).min(axis=0)
-        )
+        # below the max at the left end plus a's at the right end (switch
+        # holds minus that).  In an end cell the chord puts the switch
+        # |gap at the end| / |D'| from the end; fmin drops the NaN of 0 / 0.
+        gap_left = np.where(top[..., 1:], below[..., :-1], 0.0).min(axis=0)
+        gap_right = np.where(top[..., :-1], below[..., 1:], 0.0).min(axis=0)
+        switch = gap_left + gap_right
+        switch[:, 0] = np.fmin(gap_left[:, 0] ** 2 / switch[:, 0], 0.0)
+        switch[:, -1] = np.fmin(gap_right[:, -1] ** 2 / switch[:, -1], 0.0)
+        kinks = change.sum(axis=(0, 1)) - switch
+        # Curvature bounds of the entries and of the columns' gaps below the
+        # max, in one pass.
+        n2 = M.shape[0] ** 2
+        curve = _curvature_bound(np.concatenate((M.reshape((n2,) + below.shape[1:]), below)), cell)
         # A column below the max at both ends of a cell can pass it in
-        # between by at most its chord plus |curvature| cell^2 / 8.  The
-        # second divided differences give curvature / 2 at the samples; a
-        # cell takes the larger of its two ends and a safety factor of 4.
-        slope = (below[..., 1:] - below[..., :-1]) / cell
-        curve = np.abs(slope[..., 1:] - slope[..., :-1]) / (cell[:, 1:] + cell[:, :-1])
-        curve = np.concatenate((curve[..., :1], curve, curve[..., -1:]), axis=-1)
-        rise = np.maximum(below[..., 1:], below[..., :-1])
-        rise += np.maximum(curve[..., 1:], curve[..., :-1]) * cell**2
+        # between by at most its chord plus |curvature| cell^2 / 8.
+        rise = np.maximum(below[..., 1:], below[..., :-1]) + curve[n2:] * cell**2 / 8.0
         rise[top_cell] = 0.0
         # fmax drops the NaN of a cell too narrow to hold two distinct samples.
         bumps = (np.fmax(rise, 0.0) * cell).sum(axis=(0, 2))
-        return kronrod, np.abs(kronrod - gauss) + half * (kinks @ _GK_KINK) + bumps
+        dips = _dips(np.abs(M), curve[:n2].reshape(flips.shape), cell, top_cell & ~flips)
+        error = np.abs(kronrod - gauss) + half * (kinks @ _GK_KINK) + bumps + dips
+    return kronrod, error, (ts, M, cols, kinks)
+
+
+def _curvature_bound(x, cell):
+    """Per cell, a bound on ``|x''|`` along the last (sample) axis: the
+    second divided differences at the samples, the larger at the cell's two
+    ends, times a safety factor of 4."""
+    slope = (x[..., 1:] - x[..., :-1]) / cell
+    curve = 8.0 * np.abs(slope[..., 1:] - slope[..., :-1]) / (cell[:, 1:] + cell[:, :-1])
+    curve = np.concatenate((curve[..., :1], curve, curve[..., -1:]), axis=-1)
+    return np.maximum(curve[..., 1:], curve[..., :-1])
+
+
+def _dips(u, K, cell, same_sign):
+    """Per subinterval, a bound on what entries of the max column that keep
+    their sign at both ends of a cell (``same_sign``) add to the norm by
+    dipping through zero in between, where no sample sees them.
+
+    With ``|u''| <= K`` (``_curvature_bound``, as for the bumps), ``u =
+    |entry|`` is on a cell of width ``c`` at least the parabola of second
+    derivative ``K`` through its two ends.  Its vertex lies inside where the
+    chord slope ``|m| < K c / 2``, at ``(u0 + u1) / 2 - K c^2 / 8 - m^2 /
+    (2 K)``.  A dip of that depth below zero adds at most twice the depth
+    times ``c`` to the integral.  Only cells where the chord bound
+    ``min(u0, u1) < K c^2 / 8`` allows a dip are worked out."""
+    near = same_sign & (np.minimum(u[..., 1:], u[..., :-1]) < K * cell**2 / 8.0)
+    i, j, s, c = np.nonzero(near)
+    if not s.size:
+        return 0.0
+    u0, u1, K, c = u[i, j, s, c], u[i, j, s, c + 1], K[i, j, s, c], cell[s, c]
+    m = (u1 - u0) / c
+    depth = K * c * c / 8.0 + m * m / (2.0 * K) - 0.5 * (u0 + u1)
+    depth[~(np.abs(m) < 0.5 * K * c)] = 0.0
+    return np.bincount(s, 2.0 * np.fmax(depth, 0.0) * c, cell.shape[0])
+
+
+def _kink_brackets(samples, leaves, share):
+    """The kinks bracketed in those cells of the subintervals ``leaves`` of
+    one ``_gk15`` call whose kink bound alone exceeds the subinterval's
+    ``share`` of the goal: each one's position in ``leaves`` and its
+    arguments to ``_locate_kinks`` (``None`` when no cell qualifies).
+    Smaller kinks are left to bisection, so columns tied to roundoff,
+    which cost nothing, start no search.
+
+    The brackets are the ones ``_gk15`` charges for: an entry of a column
+    that is the max at either end of the cell changing sign (the entry
+    minus the zero row), and the argmax moving from column ``a`` at the
+    left sample to ``b`` at the right (``C_a - C_b``).  Their end values
+    are the samples, so no evaluation is needed."""
+    ts, M, cols, kinks = samples
+    half = 0.5 * (ts[leaves, -1] - ts[leaves, 0])
+    s, c = np.nonzero(kinks[leaves] * _GK_KINK > (share / half)[:, None])
+    if not s.size:
+        return s, None
+    leaf, m = leaves[s], s.size
+    # Both ends of every hot cell: left ends in the first m columns.
+    at = np.concatenate((leaf, leaf)), np.concatenate((c, c + 1))
+    rows = _kink_rows(M[:, :, at[0], at[1]], cols[:, at[0], at[1]])
+    n = M.shape[0]
+    n2 = n * n
+    sums = rows[n2:-1]
+    peak = sums.max(axis=0)
+    top = sums == peak
+    flips = (rows[:n2, :m] * rows[:n2, m:] < 0).reshape(n, n, m) & (top[:, :m] | top[:, m:])
+    i, j, h = np.nonzero(flips)
+    col = sums.argmax(axis=0)
+    moved = np.flatnonzero(col[:m] != col[m:])
+    h = np.concatenate((h, moved))
+    p = np.concatenate((i * n + j, n2 + col[moved]))
+    q = np.concatenate((np.full(i.size, n2 + n), n2 + col[m + moved]))
+    return s[h], (ts[leaf[h], c[h]], ts[leaf[h], c[h] + 1],
+                  rows[p, h] - rows[q, h], rows[p, h + m] - rows[q, h + m], p, q,
+                  np.maximum(peak[h], peak[h + m]))
+
+
+def _locate_kinks(matfun, a, b, fa, fb, p, q, scale):
+    """The kink in each bracket ``[a, b]`` of the function row ``p`` minus
+    row ``q`` of ``_kink_rows``, with values ``fa`` and ``fb`` of opposite
+    sign, by the Illinois method: one vectorized secant step over all open
+    brackets per evaluation of ``matfun``.
+
+    Each bracket keeps its newest point and the end on the other side of
+    the root.  Where a step keeps the same end as the step before, that
+    end's weight in the secant is halved: this keeps the convergence
+    superlinear where plain regula falsi would creep, and halving it on
+    every step would make it bisection.  A bracket closes when the smaller
+    of its two values is at most ``_KINK_FTOL * scale`` (a tie at a sample
+    closes at once) or no float lies between its two points, and its kink
+    is the point of smaller value."""
+    roots = np.empty(a.size)
+    at = np.arange(a.size)
+    x0, x1, f0, f1 = a, b, fa, fb  # the kept end and the newest point
+    w0 = f0  # the kept end's weight in the secant
+    tol = _KINK_FTOL * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(_KINK_ITER):
+            # NaN compares false, so a non-finite value closes its bracket.
+            open_ = (np.minimum(np.abs(f0), np.abs(f1)) > tol) & (np.nextafter(x1, x0) != x0)
+            if not open_.all():
+                done = ~open_
+                roots[at[done]] = np.where(np.abs(f0[done]) < np.abs(f1[done]), x0[done], x1[done])
+                if not open_.any():
+                    return roots
+                x0, x1, f0, f1, w0, p, q, tol, at = (
+                    v[open_] for v in (x0, x1, f0, f1, w0, p, q, tol, at))
+            x2 = (x0 * f1 - x1 * w0) / (f1 - w0)
+            rows = _kink_rows(*_norm_samples(matfun, x2)[:2])
+            k = np.arange(x2.size)
+            f2 = rows[p, k] - rows[q, k]
+            # Where the root lies between x1 and x2, x1 becomes the kept end;
+            # elsewhere x0 is kept again, for the second time after step 0.
+            turn = f2 * f1 < 0
+            w0 = np.where(turn, f1, w0 * (0.5 if step else 1.0))
+            x0, f0 = np.where(turn, x1, x0), np.where(turn, f1, f0)
+            x1, f1 = x2, f2
+    roots[at] = np.where(np.abs(f0) < np.abs(f1), x0, x1)
+    return roots
+
+
+def _children(p_lo, p_hi, at, cuts):
+    """Split each parent ``[p_lo, p_hi]`` at the ``cuts`` with parent index
+    ``at`` that lie inside it, apart from its ends and from each other by
+    more than ``_KINK_GAP`` of its width; bisect a parent left with none.
+    Returns each child's parent index and ends, in parent order and in
+    time order within a parent, or all left halves first when every parent
+    is bisected."""
+    if not at.size:
+        mid = 0.5 * (p_lo + p_hi)
+        parents = np.arange(p_lo.size)
+        return (np.concatenate((parents, parents)), np.concatenate((p_lo, mid)),
+                np.concatenate((mid, p_hi)))
+    margin = _KINK_GAP * (p_hi - p_lo)
+    inside = (cuts > p_lo[at] + margin[at]) & (cuts < p_hi[at] - margin[at])
+    at, cuts = at[inside], cuts[inside]
+    order = np.lexsort((cuts, at))
+    at, cuts = at[order], cuts[order]
+    apart = np.ones(cuts.size, bool)
+    apart[1:] = (cuts[1:] - cuts[:-1] > margin[at[1:]]) | (at[1:] != at[:-1])
+    at, cuts = at[apart], cuts[apart]
+    bare = np.flatnonzero(np.bincount(at, minlength=p_lo.size) == 0)
+    parents = np.arange(p_lo.size)
+    at = np.concatenate((parents, at, bare, parents))
+    cuts = np.concatenate((p_lo, cuts, 0.5 * (p_lo[bare] + p_hi[bare]), p_hi))
+    order = np.lexsort((cuts, at))
+    at, cuts = at[order], cuts[order]
+    same = at[1:] == at[:-1]
+    return at[:-1][same], cuts[:-1][same], cuts[1:][same]
 
 
 def _norm_integrals(matfun, name, pieces):
@@ -499,13 +677,20 @@ def _norm_integrals(matfun, name, pieces):
     ``matfun`` once on the 17 samples of every new subinterval.  An integral
     is done when its summed error estimate is at most
     ``max(_NORM_TOL, _NORM_TOL * I)``; until then each of its subintervals
-    whose estimate exceeds its width's share of that goal is bisected.  A
-    child's estimate is the larger of its own (``_gk15``) and
-    ``|K_parent - (K_left + K_right)| / 2``.  Empty pieces are exactly 0.0,
-    and a non-finite sample makes the integral ``inf`` at once.  When the
-    next level would take the subintervals past ``_GK_LIMIT``, every
-    integral still open stops with a warning.  A matrix of constant entries
-    takes the closed form ``|M|_1 (b - a)``, with no sample and no level.
+    whose estimate exceeds its width's share of that goal is refined.  As
+    QUADPACK's ``qagp`` integrates between known breakpoints, a new
+    subinterval is split at the kinks of the norm in its cells whose kink
+    bound alone exceeds that share (``_kink_brackets``, located by
+    ``_locate_kinks``).  On its children each kink then sits on an end,
+    where ``_gk15`` charges it ~0, so they converge like a smooth
+    integrand.  A subinterval with no such kink is bisected.  A child's
+    estimate is the larger of its own and half of ``|K_parent - sum
+    K_children|``.  Empty pieces are exactly 0.0, and a non-finite sample
+    makes the integral ``inf`` at once, with no kink search.  When the
+    kink splits would take the subintervals past ``_GK_LIMIT``, the level
+    bisects instead, and when even that would, every integral still open
+    stops with a warning.  A matrix of constant entries takes the closed
+    form ``|M|_1 (b - a)``, with no sample and no level.
     """
     if all(expr.is_constant() for row in matfun.entries for expr in row):
         norm = norm1(matfun.eval(0.0))
@@ -516,9 +701,10 @@ def _norm_integrals(matfun, name, pieces):
     m = len(pieces)
     owner = np.flatnonzero(width > 0.0)
     lo, hi = starts[owner], ends[owner]
-    value, error = _gk15(matfun, lo, hi)
-    # Every subinterval stays a leaf until it is bisected, so the sums over
-    # an integral's leaves are its value and error estimate at every level.
+    value, error, samples = _gk15(matfun, lo, hi)
+    # Every subinterval stays a leaf until it is split, so the sums over an
+    # integral's leaves are its value and error estimate at every level.
+    # The leaves of the last level come last, with their samples.
     while True:
         total = np.bincount(owner, value, m)
         estimate = np.bincount(owner, error, m)
@@ -527,7 +713,8 @@ def _norm_integrals(matfun, name, pieces):
         open_ = estimate > goal
         if not open_.any():
             break
-        split = open_[owner] & (error > goal[owner] * (hi - lo) / width[owner])
+        share = goal[owner] * (hi - lo) / width[owner]
+        split = open_[owner] & (error > share)
         n_split = np.count_nonzero(split)
         # n_split == 0 leaves an integral within rounding of its goal.
         if n_split == 0 or owner.size + n_split > _GK_LIMIT:
@@ -539,17 +726,26 @@ def _norm_integrals(matfun, name, pieces):
                     estimate[k], goal[k],
                 )
             break
-        p_lo, p_hi = lo[split], hi[split]
-        mid = 0.5 * (p_lo + p_hi)
-        c_value, c_error = _gk15(matfun, np.concatenate((p_lo, mid)), np.concatenate((mid, p_hi)))
-        k = mid.size
-        drift = 0.5 * np.abs(value[split] - (c_value[:k] + c_value[k:]))
+        parent = np.flatnonzero(split)
+        # A leaf of an earlier level was not split when it was made, and
+        # only the goal's roundoff can change that: it is bisected.
+        first_new = owner.size - samples[0].shape[0]
+        new = parent[parent >= first_new]
+        at, brackets = _kink_brackets(samples, new - first_new, share[new])
+        at += n_split - new.size
+        p_lo, p_hi = lo[parent], hi[parent]
+        cuts = p_lo[:0] if brackets is None else _locate_kinks(matfun, *brackets)
+        c_at, c_lo, c_hi = _children(p_lo, p_hi, at, cuts)
+        if owner.size - n_split + c_at.size > _GK_LIMIT:
+            c_at, c_lo, c_hi = _children(p_lo, p_hi, at[:0], cuts[:0])
+        c_value, c_error, samples = _gk15(matfun, c_lo, c_hi)
+        drift = 0.5 * np.abs(value[parent] - np.bincount(c_at, c_value, n_split))
         keep = ~split
-        owner = np.concatenate((owner[keep], owner[split], owner[split]))
-        lo = np.concatenate((lo[keep], p_lo, mid))
-        hi = np.concatenate((hi[keep], mid, p_hi))
+        owner = np.concatenate((owner[keep], owner[parent][c_at]))
+        lo = np.concatenate((lo[keep], c_lo))
+        hi = np.concatenate((hi[keep], c_hi))
         value = np.concatenate((value[keep], c_value))
-        error = np.concatenate((error[keep], np.maximum(c_error, np.concatenate((drift, drift)))))
+        error = np.concatenate((error[keep], np.maximum(c_error, drift[c_at])))
     return np.where(np.isfinite(total), total, math.inf).tolist()
 
 

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idepcag import (
     ValidationError,
@@ -11,8 +13,9 @@ from idepcag import (
     load_bundled_system,
     load_system,
 )
-from idepcag.expressions import parse_expression
-from idepcag.model import MatrixFunction
+from idepcag.cli import main
+from idepcag.expressions import ExpressionSyntaxError, parse_expression
+from idepcag.model import BUNDLED_SYSTEMS, MatrixFunction, bundled_system_path
 from conftest import scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -181,3 +184,72 @@ def test_overlong_expression_is_a_validation_error():
     # to compile.
     with pytest.raises(ValidationError, match=r"B: expressions nested too deeply"):
         load_system(_doc(B=[[" + ".join(["0.1"] * 5000)]]))
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"times": [0.0, "x"]}, "times[1]"),
+    ({"times": [0.0, None]}, "times[1]"),
+    ({"times": [math.nan, 1.0]}, "times[0]"),
+    ({"times": [0.0, math.inf]}, "times[1]"),
+    ({"times": [0, 10**400]}, "times[1]"),
+    ({"args": [True]}, "args[0]"),
+    ({"args": ["0.0"]}, "args[0]"),
+    ({"args": [[0.0]]}, "args[0]"),
+    ({"args": [-math.inf]}, "args[0]"),
+    ({"tolerances": {"alg": [1]}}, "tolerances.alg"),
+    ({"tolerances": {"ode_abs": "1e-10"}}, "tolerances.ode_abs"),
+    ({"tolerances": {"ode_rel": False}}, "tolerances.ode_rel"),
+    ({"tolerances": {"ode_rel": math.nan}}, "tolerances.ode_rel"),
+    ({"tolerances": {"ode_abs": math.inf, "ode_rel": math.inf}}, "tolerances.ode_abs"),
+    ({"tolerances": {"alg": -1e-9}}, "tolerances.alg"),
+    ({"omega": 10**400, "times": [0.0, 1.0]}, "omega"),
+])
+def test_non_numeric_grid_and_tolerance_values_are_validation_errors(overrides, path):
+    with pytest.raises(ValidationError) as info:
+        load_system(_doc(**overrides))
+    assert info.value.path == path
+
+
+def test_non_finite_tolerance_exits_1(tmp_path, capsys):
+    spec = tmp_path / "nan_tolerance.json"
+    spec.write_text(_doc(tolerances={"ode_rel": math.nan}))
+    assert main(["analyze", str(spec)]) == 1
+    assert "tolerances.ode_rel" in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A bundled document with some of its fields, at any depth, replaced
+    by other JSON values or deleted."""
+    doc = json.loads(bundled_system_path(draw(st.sampled_from(BUNDLED_SYSTEMS))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(list(keys)))
+            node = parent[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_json_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_mutated_documents_load_or_raise_validation_errors(text):
+    try:
+        load_system(text)
+    except (ValidationError, ExpressionSyntaxError):
+        pass

@@ -359,6 +359,57 @@ def test_norm_integral_where_the_maximizing_column_switches():
     assert _within_goal(got[0], first) and _within_goal(got[1], second), got
 
 
+def _count_gk15(monkeypatch):
+    calls = []
+    gk15 = transition._gk15
+    monkeypatch.setattr(transition, "_gk15", lambda *args: calls.append(1) or gk15(*args))
+    return calls
+
+
+_SWITCH_FIRST = (math.sqrt(2.0) - math.cos(0.6 * math.pi)) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # The column switches of the document above; bisection took 16 levels.
+    ([["cos(2*pi*t)", "0"], ["0", "sin(2*pi*t)"]],
+     [_SWITCH_FIRST, 2.0 * math.sqrt(2.0) / math.pi - _SWITCH_FIRST]),
+    # |sin 2 pi t| kinks at 0.5, off every bisection point of [0.3, 1]:
+    # bisection took 15 levels.
+    ([["sin(2*pi*t)"]], [(1.0 - math.cos(0.6 * math.pi)) / (2.0 * math.pi),
+                         (3.0 + math.cos(0.6 * math.pi)) / (2.0 * math.pi)]),
+])
+def test_located_kinks_close_in_few_levels(monkeypatch, rows, expected):
+    # Split at the located kink, each child has it on an end: one level to
+    # find it, one to meet the parent-child difference, one to close.
+    system = load_system(_doc(rows, args=(0.3,)))
+    calls = _count_gk15(monkeypatch)
+    got = transition._norm_integrals(system.A, "A", _halves(system))
+    assert all(_within_goal(g, e) for g, e in zip(got, expected)), (got, expected)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("delta", np.logspace(-12, -4, 9))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_end_cell_switch_bound_covers_the_rule_error(side, delta):
+    # |A|_1 = 2 + |s| for s = sin(2 pi (t - u)) / (2 pi) ~ t - u: the max
+    # moves between the two columns at u, and a split point that missed u
+    # by delta leaves the switch delta inside the end of the subinterval,
+    # where the rule's error is ~delta^2.  The interior switch bound would
+    # charge ~1e-5 here.
+    u, width = 0.4, 0.4
+    s = f"{0.5 / math.pi!r}*sin(2*pi*(t - {u!r}))"
+    system = load_system(_doc([[f"2 + {s}", "0"], ["0", f"2 - {s}"]]))
+    lo = u - delta if side == "left" else u + delta - width
+    value, error, _ = transition._gk15(system.A, np.array([lo]), np.array([lo + width]))
+    bumps = math.sin(math.pi * delta) ** 2 + math.sin(math.pi * (width - delta)) ** 2
+    exact = 2.0 * width + bumps / (2.0 * math.pi**2)
+    roundoff = 8.0 * np.finfo(float).eps * exact
+    assert abs(value[0] - exact) <= error[0] + roundoff
+    # The bound is 2.1 delta^2 (twice the error, with the 5% margin of
+    # _GK_KINK), plus the ~1e-15 of |K15 - G7| on the smooth rest.
+    assert error[0] <= 3.0 * delta**2 + 1e-14
+
+
 def test_norm_integral_with_columns_tied_to_roundoff(caplog):
     # The max flips between the two columns wherever roundoff decides; that
     # costs nothing and must not drive the refinement into its cap.
@@ -391,6 +442,21 @@ def test_norm_integral_sees_a_column_passing_the_max_between_samples():
     system = load_system(_doc(rows, times=(0.0, omega)))
     got = transition._norm_integrals(system.A, "A", [(0.0, omega)])[0]
     assert _within_goal(got, _reference_integral(system.A, 0.0, omega))
+
+
+@pytest.mark.parametrize("entry", [
+    # Dips below zero on 5 windows of width 0.03; no sample of [0, 1] falls
+    # in one, and the rules integrate the odd sine exactly, so |K15 - G7|
+    # = 0 while |A|_1 integrates to 0.9017, not 0.875.
+    "0.875 + sin(10*pi*t)",
+    # One dip of depth 1e-6 and width 4.5e-4 at t = 0.75, worth 6e-10,
+    # that the refinement of the smooth rest never samples.
+    "0.999999 + sin(2*pi*t)",
+])
+def test_norm_integral_sees_an_entry_dipping_through_zero_between_samples(entry):
+    system = load_system(_doc([[entry]]))
+    got = transition._norm_integrals(system.A, "A", [(0.0, 1.0)])[0]
+    assert _within_goal(got, _reference_integral(system.A, 0.0, 1.0)), got
 
 
 def _reference_integral(matfun, a, b):
@@ -464,6 +530,61 @@ def _trig_systems(draw):
 @settings(max_examples=12, deadline=None)
 @given(_trig_systems())
 def test_norm_integrals_meet_their_goal_on_random_trig_systems(system):
+    halves = _halves(system)
+    for name, matfun in (("A", system.A), ("B", system.B)):
+        got = transition._norm_integrals(matfun, name, halves)
+        for (a, b), value in zip(halves, got):
+            expected = _reference_integral(matfun, a, b)
+            assert _within_goal(value, expected), (name, a, b, value - expected)
+
+
+@st.composite
+def _kinky_systems(draw):
+    """Documents with harmonics up to 6, whose entry zeros and column
+    crossings may sit within 1e-6 of a breakpoint or an anchor: an entry
+    ``a1 (a0 + sin(h w (t - z) + phase))`` with ``sin(phase) = -a0``
+    vanishes at ``z``, and a second column that copies the first but for
+    ``c sin(w (t - z))`` in one entry ties with it at ``z``."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    omega = draw(st.floats(0.8, 2.5))
+    w = 2.0 * math.pi / omega
+    inner = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=p - 1, max_size=p - 1, unique=True)))
+    times = [0.0] + [f * omega for f in inner] + [omega]
+    args = []
+    for lo, hi in zip(times[:-1], times[1:]):
+        kind = draw(st.sampled_from(["retarded", "interior", "advanced"]))
+        if kind == "interior":
+            lo += draw(st.floats(0.2, 0.8)) * (hi - lo)
+        args.append(hi if kind == "advanced" else lo)
+    marks = times + args
+
+    def near_mark():
+        return draw(st.sampled_from(marks)) + draw(st.floats(-1e-6, 1e-6))
+
+    def entry():
+        a0, a1, _, phase = draw(_trig_entry)
+        h = draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            z = near_mark()
+            phase = math.asin(-a0) + (math.pi if draw(st.booleans()) else 0.0)
+            return f"{a0 * a1!r} + {a1!r}*sin({h * w!r}*(t - {z!r}) + {phase!r})"
+        return f"{a0 * a1!r} + {a1!r}*sin({h * w!r}*t + {phase!r})"
+
+    def matrix():
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and draw(st.booleans()):
+            i, c = draw(st.integers(0, n - 1)), draw(st.floats(0.05, 0.5))
+            for k, row in enumerate(rows):
+                row[1] = row[0] if k != i else f"{row[0]} + {c!r}*sin({w!r}*(t - {near_mark()!r}))"
+        return rows
+
+    return load_system(_doc(matrix(), matrix(), times=tuple(times), args=tuple(args)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_kinky_systems())
+def test_norm_integrals_meet_their_goal_on_kink_heavy_systems(system):
     halves = _halves(system)
     for name, matfun in (("A", system.A), ("B", system.B)):
         got = transition._norm_integrals(matfun, name, halves)
