@@ -80,6 +80,8 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _write_out(text, out):

@@ -315,6 +315,8 @@ def load_system(text: str) -> SystemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
 

@@ -35,7 +35,10 @@ changing sign, or the max moving to another column) is split at the kink,
 located by a vectorized Illinois search on the bracketing samples, rather
 than bisected toward it.  The kink then sits on the end of two children,
 where the end-cell bounds of ``_gk15`` charge it ~0 for a sign change and
-for a column switch alike.
+for a column switch alike.  What no sample sees, a column passing the max
+or an entry dipping through zero between two samples, is charged by one
+parabola bound on the sampled curvature (``_rises``).  The trig documents
+of the benchmark close in 3-8 levels, where bisection took 16-32.
 """
 
 from __future__ import annotations
@@ -457,7 +460,8 @@ def _kink_rows(M, cols):
 def _gk15(matfun, lo, hi):
     """Gauss-Kronrod 7-15 of ``|matfun|_1`` on every ``[lo, hi]``: the
     Kronrod values, their error estimates, and for ``_kink_brackets`` the
-    sample times, entries and column sums with each cell's kink ``change``.
+    sample times, entries and column sums with each cell's kink bound and
+    the entries that change sign in it (``flips``).
 
     Each subinterval is sampled at its 15 nodes and both ends; a cell is
     the span between two neighbouring samples.  ``|K15 - G7|`` can miss a
@@ -474,12 +478,14 @@ def _gk15(matfun, lo, hi):
       or the gap between the two columns over ``|D'|``.  So a kink on an
       end, where ``_norm_integrals`` splits at a located kink, costs ~0
       (``|D'|`` is the change of ``D`` across the end cell over its width);
-    * bumps, where a column below the max at both ends of a cell passes it
-      in between, as far as its chord and curvature allow;
-    * dips, where an entry of the max column keeps its sign at both ends of
-      a cell but may cross zero in between (``_dips``).  The rules
-      integrate ``0.875 + sin(10 pi t)`` over [0, 1] exactly, with no
-      sample in its five dips below zero.
+    * rises between samples (``_rises``): bumps, where a column below the
+      max at both ends of a cell passes it in between, and dips, where an
+      entry of the max column keeps its sign at both ends of a cell but
+      crosses zero in between.  Each is a function at most 0 at both ends
+      (the column's gap below the max, or ``-|entry|``) that rises above 0
+      where no sample sees it, and a dip costs the norm twice its area.
+      The rules integrate ``0.875 + sin(10 pi t)`` over [0, 1] exactly,
+      with no sample in its five dips below zero.
 
     A non-finite sample makes its Kronrod value non-finite (the weights
     are positive, the norms are not negative).
@@ -513,15 +519,10 @@ def _gk15(matfun, lo, hi):
         # max, in one pass.
         n2 = M.shape[0] ** 2
         curve = _curvature_bound(np.concatenate((M.reshape((n2,) + below.shape[1:]), below)), cell)
-        # A column below the max at both ends of a cell can pass it in
-        # between by at most its chord plus |curvature| cell^2 / 8.
-        rise = np.maximum(below[..., 1:], below[..., :-1]) + curve[n2:] * cell**2 / 8.0
-        rise[top_cell] = 0.0
-        # fmax drops the NaN of a cell too narrow to hold two distinct samples.
-        bumps = (np.fmax(rise, 0.0) * cell).sum(axis=(0, 2))
-        dips = _dips(np.abs(M), curve[:n2].reshape(flips.shape), cell, top_cell & ~flips)
+        bumps = _rises(below, curve[n2:], cell, ~top_cell)
+        dips = 2.0 * _rises(-np.abs(M), curve[:n2].reshape(flips.shape), cell, top_cell & ~flips)
         error = np.abs(kronrod - gauss) + half * (kinks @ _GK_KINK) + bumps + dips
-    return kronrod, error, (ts, M, cols, kinks)
+    return kronrod, error, (ts, M, cols, kinks, flips)
 
 
 def _curvature_bound(x, cell):
@@ -534,27 +535,27 @@ def _curvature_bound(x, cell):
     return np.maximum(curve[..., 1:], curve[..., :-1])
 
 
-def _dips(u, K, cell, same_sign):
-    """Per subinterval, a bound on what entries of the max column that keep
-    their sign at both ends of a cell (``same_sign``) add to the norm by
-    dipping through zero in between, where no sample sees them.
+def _rises(g, K, cell, mask):
+    """Per subinterval, a bound on the area by which ``g``, at most 0 at
+    both ends of each cell of ``mask``, rises above 0 in between, where no
+    sample sees it.
 
-    With ``|u''| <= K`` (``_curvature_bound``, as for the bumps), ``u =
-    |entry|`` is on a cell of width ``c`` at least the parabola of second
-    derivative ``K`` through its two ends.  Its vertex lies inside where the
-    chord slope ``|m| < K c / 2``, at ``(u0 + u1) / 2 - K c^2 / 8 - m^2 /
-    (2 K)``.  A dip of that depth below zero adds at most twice the depth
-    times ``c`` to the integral.  Only cells where the chord bound
-    ``min(u0, u1) < K c^2 / 8`` allows a dip are worked out."""
-    near = same_sign & (np.minimum(u[..., 1:], u[..., :-1]) < K * cell**2 / 8.0)
-    i, j, s, c = np.nonzero(near)
+    With ``|g''| <= K`` (``_curvature_bound``), ``g`` is on a cell of width
+    ``c`` at most the parabola of second derivative ``-K`` through its two
+    ends.  Its vertex lies inside where the chord slope ``|m| < K c / 2``,
+    at ``(g0 + g1) / 2 + K c^2 / 8 + m^2 / (2 K)``, and the area above 0 is
+    at most that height times ``c``.  Only cells where the chord bound
+    ``max(g0, g1) + K c^2 / 8`` reaches above 0 are worked out."""
+    near = mask & (np.maximum(g[..., 1:], g[..., :-1]) > -K * cell**2 / 8.0)
+    at = np.nonzero(near)
+    s, c = at[-2:]
     if not s.size:
         return 0.0
-    u0, u1, K, c = u[i, j, s, c], u[i, j, s, c + 1], K[i, j, s, c], cell[s, c]
-    m = (u1 - u0) / c
-    depth = K * c * c / 8.0 + m * m / (2.0 * K) - 0.5 * (u0 + u1)
-    depth[~(np.abs(m) < 0.5 * K * c)] = 0.0
-    return np.bincount(s, 2.0 * np.fmax(depth, 0.0) * c, cell.shape[0])
+    g0, g1, K, c = g[at], g[at[:-1] + (c + 1,)], K[at], cell[s, c]
+    m = (g1 - g0) / c
+    rise = K * c * c / 8.0 + m * m / (2.0 * K) + 0.5 * (g0 + g1)
+    rise[~(np.abs(m) < 0.5 * K * c)] = 0.0
+    return np.bincount(s, np.fmax(rise, 0.0) * c, cell.shape[0])
 
 
 def _kink_brackets(samples, leaves, share):
@@ -570,7 +571,7 @@ def _kink_brackets(samples, leaves, share):
     minus the zero row), and the argmax moving from column ``a`` at the
     left sample to ``b`` at the right (``C_a - C_b``).  Their end values
     are the samples, so no evaluation is needed."""
-    ts, M, cols, kinks = samples
+    ts, M, cols, kinks, flips = samples
     half = 0.5 * (ts[leaves, -1] - ts[leaves, 0])
     s, c = np.nonzero(kinks[leaves] * _GK_KINK > (share / half)[:, None])
     if not s.size:
@@ -583,9 +584,7 @@ def _kink_brackets(samples, leaves, share):
     n2 = n * n
     sums = rows[n2:-1]
     peak = sums.max(axis=0)
-    top = sums == peak
-    flips = (rows[:n2, :m] * rows[:n2, m:] < 0).reshape(n, n, m) & (top[:, :m] | top[:, m:])
-    i, j, h = np.nonzero(flips)
+    i, j, h = np.nonzero(flips[:, :, leaf, c])
     col = sums.argmax(axis=0)
     moved = np.flatnonzero(col[:m] != col[m:])
     h = np.concatenate((h, moved))
@@ -645,13 +644,7 @@ def _children(p_lo, p_hi, at, cuts):
     ``at`` that lie inside it, apart from its ends and from each other by
     more than ``_KINK_GAP`` of its width; bisect a parent left with none.
     Returns each child's parent index and ends, in parent order and in
-    time order within a parent, or all left halves first when every parent
-    is bisected."""
-    if not at.size:
-        mid = 0.5 * (p_lo + p_hi)
-        parents = np.arange(p_lo.size)
-        return (np.concatenate((parents, parents)), np.concatenate((p_lo, mid)),
-                np.concatenate((mid, p_hi)))
+    time order within a parent."""
     margin = _KINK_GAP * (p_hi - p_lo)
     inside = (cuts > p_lo[at] + margin[at]) & (cuts < p_hi[at] - margin[at])
     at, cuts = at[inside], cuts[inside]

@@ -95,6 +95,17 @@ def test_analyze_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/system.json"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["verify"], ["sweep", "--param", "AC", "--range=0:1", "--steps", "2"],
+])
+def test_non_utf8_input_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: not UTF-8 text (byte 0)\n"
+
+
 def test_analyze_singular_anchor_exit_3(tmp_path, capsys):
     # B = -1 zeroes J at the right anchor: numerical failure, not input error
     path = _write(tmp_path, "singular.json", scalar_doc(0.0, 2.0))

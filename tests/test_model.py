@@ -210,6 +210,17 @@ def test_non_numeric_grid_and_tolerance_values_are_validation_errors(overrides, 
     assert info.value.path == path
 
 
+def test_deeply_nested_document_is_a_validation_error(tmp_path, capsys):
+    # json.loads recurses once per level and runs out of stack.
+    text = "[" * 100000 + "]" * 100000
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        load_system(text)
+    spec = tmp_path / "deep.json"
+    spec.write_text(text)
+    assert main(["analyze", str(spec)]) == 1
+    assert "invalid system document" in capsys.readouterr().err
+
+
 def test_non_finite_tolerance_exits_1(tmp_path, capsys):
     spec = tmp_path / "nan_tolerance.json"
     spec.write_text(_doc(tolerances={"ode_rel": math.nan}))

@@ -410,6 +410,55 @@ def test_end_cell_switch_bound_covers_the_rule_error(side, delta):
     assert error[0] <= 3.0 * delta**2 + 1e-14
 
 
+def test_rise_bound_covers_the_worst_parabola():
+    # g(x) = g0 + b x - K x^2 / 2 on [0, c], with g'' = -K the worst case
+    # _curvature_bound allows and both ends at most 0.  Where its vertex
+    # lies inside the cell, g is above 0 between its roots, a width w =
+    # 2 sqrt(b^2 + 2 K g0) / K that encloses K w^3 / 12; elsewhere g <= 0
+    # on the whole cell.
+    rng = np.random.default_rng(7)
+    size = 4000
+    c = rng.uniform(1e-3, 1.0, size)
+    K = 10.0 ** rng.uniform(-1.0, 3.0, size)
+    g = -rng.uniform(0.0, 1.0, (size, 2)) ** 3 * (K * c * c)[:, None]
+    b = (g[:, 1] - g[:, 0]) / c + 0.5 * K * c
+    inside = (b > 0.0) & (b < K * c)
+    w = 2.0 * np.sqrt(np.fmax(b * b + 2.0 * K * g[:, 0], 0.0)) / K
+    exact = np.where(inside, K * w**3 / 12.0, 0.0)
+    assert (exact > 0.0).sum() > size // 5 and (~inside).sum() > size // 5
+    bound = transition._rises(g, K[:, None], c[:, None], np.ones((size, 1), bool))
+    assert np.all(exact <= bound * (1.0 + 1e-12))
+    assert not bound[~inside].any()
+
+
+_SWITCH_S = f"{0.5 / math.pi!r}*sin(2*pi*(t - 0.4))"
+
+
+@pytest.mark.parametrize("rows, lo, width, exact", [
+    # The column-switch document above on [0.375, 0.625]: |cos 2 pi t| is
+    # the max, and |sin 2 pi t| ties it at both ends, within roundoff, on
+    # its way down.
+    ([["cos(2*pi*t)", "0"], ["0", "sin(2*pi*t)"]], 0.375, 0.25, math.sqrt(2.0) / (2.0 * math.pi)),
+    # The 2 +- s document above starting 1e-15 past its switch at 0.4, as a
+    # located switch leaves it: the column that was the max reads 2e-15
+    # below it at the left end and falls away.
+    ([[f"2 + {_SWITCH_S}", "0"], ["0", f"2 - {_SWITCH_S}"]], 0.4 + 1e-15, 0.4,
+     0.8 + (math.sin(math.pi * (0.4 + 1e-15)) ** 2 - math.sin(math.pi * 1e-15) ** 2) / (2.0 * math.pi**2)),
+])
+def test_bump_bound_ignores_a_column_leaving_the_max_at_an_end(rows, lo, width, exact):
+    # A chord bound charged that column ~5e-10 and ~8e-10.
+    system = load_system(_doc(rows))
+    value, error, _ = transition._gk15(system.A, np.array([lo]), np.array([lo + width]))
+    assert abs(value[0] - exact) <= error[0] + 8.0 * np.finfo(float).eps * exact
+    assert error[0] <= 1e-14
+
+
+def test_markus_yamabe_norm_integrals_close_in_three_levels(monkeypatch, my_system):
+    calls = _count_gk15(monkeypatch)
+    assert hypothesis_check(my_system).passed
+    assert len(calls) <= 3
+
+
 def test_norm_integral_with_columns_tied_to_roundoff(caplog):
     # The max flips between the two columns wherever roundoff decides; that
     # costs nothing and must not drive the refinement into its cap.
