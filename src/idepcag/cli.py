@@ -98,8 +98,12 @@ def _parse_complex_list(text, n):
         raise _UsageError(f"--x0 needs {n} comma-separated entries, got {len(parts)}")
     values = []
     for part in parts:
+        # Only a trailing i is the imaginary unit, so 'inf' and 'nan' parse.
+        text = part.replace(" ", "")
+        if text.endswith("i"):
+            text = text[:-1] + "j"
         try:
-            values.append(complex(part.replace("i", "j").replace(" ", "")))
+            values.append(complex(text))
         except ValueError as exc:
             raise _UsageError(f"cannot parse complex number {part!r}") from exc
     return np.array(values, dtype=complex)
@@ -186,7 +190,7 @@ def _cmd_simulate(args):
             traj_c = solve_cauchy(system, x0, args.t_end, dt_out)
         if args.method in ("direct", "both"):
             traj_d = solve_direct(system, x0, args.t_end, dt_out)
-    except ValueError as exc:  # a horizon past simulate.MAX_RECORDS
+    except ValueError as exc:  # a non-finite x0 or a horizon past simulate.MAX_RECORDS
         raise _UsageError(str(exc)) from exc
     if args.method == "cauchy":
         _write_out(_trajectory_csv(traj_c), args.out)

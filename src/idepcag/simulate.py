@@ -11,7 +11,14 @@ the impulse at the right endpoint.
 
 Output grids always include every breakpoint in range with a paired
 left-limit / post-impulse record, so consumers can plot the jumps
-faithfully.
+faithfully.  Both solvers fill the same record layout (``_layout``), built
+from the interval plan with array operations.  ``solve_cauchy`` reads the
+dense output once per distinct local time (periodicity brings the same
+phases back every period), carries the interval entry states through the
+periods in one sequential loop of ``n x n`` products, and then gives every
+record its state in one batched product.  ``Trajectory.write_csv`` formats
+all cells with a vectorized ``%.12e`` kernel that hands the few cells it
+cannot prove exact to Python's formatter.
 """
 
 from __future__ import annotations
@@ -30,10 +37,90 @@ __all__ = ["Trajectory", "solve_cauchy", "solve_direct", "max_discrepancy"]
 KIND_SAMPLE = "sample"
 KIND_LEFT = "left_limit"
 KIND_POST = "post_impulse"
-_CSV_BLOCK = 512
+_KINDS = np.array([KIND_SAMPLE, KIND_LEFT, KIND_POST], dtype=object)
+#: Most float cells formatted per block of CSV rows.
+_CSV_BLOCK = 2**13
 #: Most records a trajectory may ask for.  A longer horizon is refused
-#: before the schedule is built, which walks one step per breakpoint.
+#: before the schedule is built, which holds every sample and breakpoint.
 MAX_RECORDS = 10**7
+
+# '%.12e' of a double has at most 20 characters ('-1.797693134862e+308').
+# A cell is six 4-byte words: comma, sign, lead digit and point; three
+# groups of four digits; 'e', exponent sign and two digits; spare.
+_CELL = 24
+_POW10 = np.array([float(10**k) for k in range(23)])  # all exact doubles
+_HEADS = np.frombuffer(b"".join(b",-%d." % d for d in range(10)), dtype=np.uint32)
+_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-10, 23)), dtype=np.uint32)
+_SHOW = np.frombuffer(bytes([1, 1, 1, 1, 1, 0, 1, 1]), dtype=np.uint32)  # all; all but byte 1
+
+
+def _format_cells(x):
+    """``'%.12e' % v`` of every float of the 1-D array ``x``, each with a
+    comma in front: bytes ``(x.size, _CELL)`` and the mask of those that
+    belong to the text.
+
+    Exactness.  For ``1e-10 <= |v| < 1e23`` take ``e = floor(log10|v|)``,
+    clipped to ``[-10, 22]``, and ``q = |v| 10^(12-e)`` (or ``|v| / 10^(e-12)``).
+    Every ``10^k`` with ``k <= 22`` is a double, so ``q`` is the exact
+    ``q* = |v| 10^(12-e)`` rounded once, which below ``2^44 > 10^13`` is an
+    error of at most ``2^-10``.  When ``q >= 10^12``, ``rint(q) < 10^13`` and
+    ``frac(q)`` lies more than ``2^-9`` from 1/2, ``q*`` is more than
+    ``2^-10`` from a half-integer, so ``rint(q)`` is the correctly rounded
+    13-digit significand of ``|v|`` at exponent ``e`` and ``%.12e`` prints
+    those digits.  That holds even when ``log10`` misjudged ``e`` by one:
+    a ``q*`` of ``10^13`` or more fails the second test, and one in
+    ``[10^12 - 2^-10, 10^12)`` prints as ``1.000000000000e+e`` either way.
+    Zeros are ``0.000000000000e+00`` with their sign.  Every other cell
+    (subnormal, non-finite, out of range or within ``2^-9`` of a tie) is
+    formatted by Python; on trajectory data such cells are rare.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e23)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.where(fast, np.floor(np.log10(a)), 0.0)
+        e = np.clip(e, -10, 22).astype(np.intp)
+        scale = _POW10[np.abs(12 - e)]
+        q = np.where(e <= 12, a * scale, a / scale)
+        d = np.rint(q)
+        fast &= (q >= 1e12) & (d < 1e13) & (np.abs(q - np.floor(q) - 0.5) > 2.0**-9)
+    fast |= a == 0.0
+    digits = np.where(fast, d, 0.0).astype(np.int64)
+    lead = digits // 10**8  # the first five digits
+    tail = digits - lead * 10**8  # the last eight
+    words = np.empty((x.size, _CELL // 4), dtype=np.uint32)
+    words[:, 0] = _HEADS[lead // 10**4]
+    words[:, 1] = _DIGITS4[lead - lead // 10**4 * 10**4]
+    words[:, 2] = _DIGITS4[tail // 10**4]
+    words[:, 3] = _DIGITS4[tail - tail // 10**4 * 10**4]
+    words[:, 4] = _EXPONENTS[e + 10]
+    # The same layout for the mask: the sign byte only when negative.
+    shown = np.empty_like(words)
+    shown[:, 0] = np.where(np.signbit(x), _SHOW[0], _SHOW[1])
+    shown[:, 1:5] = _SHOW[0]
+    shown[:, 5] = 0
+    out, keep = words.view(np.uint8), shown.view(bool)
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.12e" % v for v in x[slow].tolist()], dtype="S20")
+    text = text.view(np.uint8).reshape(slow.size, 20)
+    out[slow, 1:21] = text
+    keep[slow, 1:21] = text != 0
+    return out, keep
+
+
+def _format_labels(kinds):
+    """``',' + kind`` of every kind, as ``_format_cells`` gives its cells."""
+    names = list(set(kinds))
+    labels = [("," + name).encode() for name in names]
+    width = max(map(len, labels))
+    text = np.array(labels, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    keep = np.arange(width) < np.array([len(label) for label in labels])[:, None]
+    objects = np.array(kinds, dtype=object)
+    codes = np.zeros(len(kinds), dtype=np.intp)
+    for code, name in enumerate(names):
+        codes[objects == name] = code
+    return text[codes], keep[codes]
 
 
 @dataclass(frozen=True)
@@ -65,21 +152,30 @@ class Trajectory:
         return out
 
     def write_csv(self, stream) -> None:
-        """CSV rows ``t,kind,re_x1,im_x1,...``; floats as %.12e."""
+        """CSV rows ``t,kind,re_x1,im_x1,...``; floats as %.12e.
+
+        The bytes are those of Python's ``'%.12e' %`` per cell; see
+        ``_format_cells``.  Rows go out in blocks, so the temporaries stay
+        the size of one block.
+        """
         header = ["t", "kind"]
         for j in range(1, self.n + 1):
             header += [f"re_x{j}", f"im_x{j}"]
         stream.write(",".join(header) + "\n")
-        row = "%.12e,%s" + ",%.12e" * (2 * self.n) + "\n"
+        width = 1 + 2 * self.n
         cells = np.ascontiguousarray(self.states, dtype=complex).view(float)
-        # Python floats take four times the memory of the array: convert a
-        # block of rows at a time.
-        for i in range(0, len(self.times), _CSV_BLOCK):
-            block = slice(i, i + _CSV_BLOCK)
-            for t, kind, values in zip(
-                self.times[block].tolist(), self.kinds[block], cells[block].tolist()
-            ):
-                stream.write(row % (t, kind, *values))
+        rows = max(1, _CSV_BLOCK // width)
+        for i in range(0, len(self.times), rows):
+            block = slice(i, i + rows)
+            values = np.column_stack((self.times[block], cells[block]))
+            m = len(values)
+            text, keep = (a.reshape(m, width, _CELL) for a in _format_cells(values.ravel()))
+            keep[:, 0, 0] = False  # no comma before t
+            label_text, label_keep = _format_labels(self.kinds[block])
+            eol = np.full((m, 1), ord("\n"), dtype=np.uint8)
+            line = np.hstack((text[:, 0], label_text, text[:, 1:].reshape(m, -1), eol))
+            mask = np.hstack((keep[:, 0], label_keep, keep[:, 1:].reshape(m, -1), eol > 0))
+            stream.write(line[mask].tobytes().decode())
 
 
 def _near(a, b):
@@ -103,9 +199,25 @@ def _check_span(system, t_end, dt_out):
         )
 
 
+def _initial_state(system, x0):
+    """``x0`` as a complex n-vector; raises ``ValueError`` unless finite."""
+    x0 = np.asarray(x0, dtype=complex).reshape(system.n)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def _plan(system, t_end, dt_out):
-    """Per-interval work plan: (k, t_start, t_stop, interior sample times,
-    has_impulse_at_stop).
+    """Interval plan ``(stops, impulse, samples, lo, hi)``, arrays over the
+    intervals ``k = 0..K-1``: interval ``k`` runs from ``stops[k - 1]`` (0
+    for ``k = 0``) to ``stops[k]``, ends with an impulse when
+    ``impulse[k]`` and takes the samples ``samples[lo[k]:hi[k]]``.
+
+    The breakpoints ``t_k`` are computed as ``grid.time_at`` computes them.
+    Every interval but the last stops at ``t_{k+1}``, which lies below
+    ``t_end`` and not ``_near`` it; the last stops at the first breakpoint
+    that does not, when that one is ``_near`` ``t_end``, and otherwise at
+    ``t_end`` without an impulse.
 
     Samples are ``i * dt_out`` for ``i = 1, 2, ...`` up to the first one at
     or ``_near`` ``t_end``, minus those ``_near`` a breakpoint; breakpoints
@@ -116,7 +228,13 @@ def _plan(system, t_end, dt_out):
     would also be near ``t_end``.
     """
     grid = system.grid
-    breaks = np.array([t for _, t in grid.breakpoints_between(0.0, t_end)])
+    # Up to a period past every breakpoint _near t_end, so the last one
+    # ends the interval search below.
+    reach = t_end + 1e-9 * max(1.0, t_end)
+    k = np.arange(1, (int(reach / grid.omega) + 2) * grid.p + 1)
+    m, j = np.divmod(k, grid.p)
+    tk = np.asarray(grid.times)[j] + m * grid.omega
+    breaks = tk[tk <= t_end + 1e-15 * max(1.0, abs(t_end))]
     # One past the last sample is at least t_end, so the stop test fires.
     samples = np.arange(1, int(t_end / dt_out) + 3) * dt_out
     stop = (samples >= t_end) | _near_many(samples, t_end)
@@ -128,87 +246,112 @@ def _plan(system, t_end, dt_out):
         near = _near_many(samples, breaks[left]) | _near_many(samples, breaks[right])
         samples = samples[~near]
 
-    bounds = []
-    t_cursor = 0.0
-    while t_cursor < t_end and not _near(t_cursor, t_end):
-        t_next = grid.time_at(len(bounds) + 1)
-        stops_at_break = t_next < t_end or _near(t_next, t_end)
-        t_stop = t_next if stops_at_break else t_end
-        bounds.append((t_cursor, t_stop, stops_at_break))
-        t_cursor = t_stop
-    first = np.searchsorted(samples, [b[0] for b in bounds], side="right").tolist()
-    ends = np.searchsorted(samples, [b[1] for b in bounds], side="left").tolist()
-    return [
-        (k, t_start, t_stop, samples[lo:hi], stops_at_break)
-        for k, ((t_start, t_stop, stops_at_break), lo, hi) in enumerate(zip(bounds, first, ends))
-    ]
+    if _near(0.0, t_end):
+        intervals = 0
+    else:
+        # The first breakpoint that is not below t_end and apart from it.
+        intervals = int(np.argmin((tk < t_end) & ~_near_many(tk, t_end))) + 1
+    stops = tk[:intervals].copy()
+    impulse = np.ones(intervals, dtype=bool)
+    if intervals:
+        impulse[-1] = _near(stops[-1], t_end)
+        if not impulse[-1]:
+            stops[-1] = t_end
+    starts = np.concatenate(([0.0], stops))[:-1]
+    lo = np.searchsorted(samples, starts, side="right")
+    hi = np.searchsorted(samples, stops, side="left")
+    return stops, impulse, samples, lo, hi
 
 
-def _assemble(system, x0, plan, propagate, method, t_end, dt_out):
-    """Records on the plan's schedule, with the impulse pair at each break.
+@dataclass(frozen=True)
+class _Layout:
+    """Rows of a trajectory and the intervals that fill them.
 
-    ``propagate(k, t_start, t_stop, inside, x_k)`` returns the states at the
-    interior samples followed by the left limit at ``t_stop``, as rows.
+    Row 0 is the initial state.  Interval ``k`` owns the rows from
+    ``ends[k - 1] + 2`` (1 for ``k = 0``) to its end record ``ends[k]``: its
+    interior samples, then the state at ``stops[k]`` (its left limit when
+    ``impulse[k]``), then the post-impulse row ``ends[k] + 1`` when
+    ``impulse[k]``.  Only the last interval can end without an impulse.
+    ``codes`` indexes ``_KINDS`` per row.
     """
-    rows = 1 + sum(len(inside) + (2 if impulse else 1) for *_, inside, impulse in plan)
-    times = np.empty(rows)
-    kinds = [KIND_SAMPLE]
-    states = np.empty((rows, system.n), dtype=complex)
-    factors = [system.impulse_factor(r) for r in range(1, system.p + 1)]
-    times[0] = 0.0
-    states[0] = x_k = x0
-    r = 1
-    for k, t_start, t_stop, inside, has_impulse in plan:
-        values = propagate(k, t_start, t_stop, inside, x_k)
-        m = len(inside)
-        times[r : r + m] = inside
-        states[r : r + m] = values[:m]
-        kinds += [KIND_SAMPLE] * m
-        r += m
-        left = values[m]
-        if has_impulse:
-            x_k = factors[k % system.p] @ left
-            times[r : r + 2] = t_stop
-            states[r] = left
-            states[r + 1] = x_k
-            kinds += [KIND_LEFT, KIND_POST]
-            r += 2
-        else:
-            times[r] = t_stop
-            states[r] = left
-            kinds.append(KIND_SAMPLE)
-            r += 1
-    return Trajectory(times, tuple(kinds), states, method, t_end, dt_out)
+
+    times: np.ndarray
+    codes: np.ndarray
+    stops: np.ndarray
+    impulse: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def kinds(self):
+        return tuple(_KINDS[self.codes])
+
+    @property
+    def starts(self):
+        return np.concatenate(([0.0], self.stops))[:-1]
+
+    @property
+    def firsts(self):
+        """First row of every interval."""
+        return np.concatenate(([1], self.ends + 2))[:-1]
+
+
+def _layout(system, t_end, dt_out):
+    stops, impulse, samples, lo, hi = _plan(system, t_end, dt_out)
+    inside = hi - lo
+    ends = np.cumsum(inside + 1 + impulse) - impulse
+    rows = 1 + int(ends[-1]) + int(impulse[-1]) if stops.size else 1
+    owner = np.repeat(np.arange(stops.size), inside)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(inside) - inside, inside)
+    times = np.zeros(rows)
+    times[ends[owner] - inside[owner] + offset] = samples[lo[owner] + offset]
+    times[ends] = stops
+    posts = ends[impulse] + 1
+    times[posts] = stops[impulse]
+    codes = np.zeros(rows, dtype=np.intp)
+    codes[ends[impulse]] = 1
+    codes[posts] = 2
+    return _Layout(times, codes, stops, impulse, ends)
 
 
 def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
     """Trajectory ``x(t) = W(t, 0) x0`` on the output grid plus breakpoints.
 
-    Every record time of every period is mapped into its base interval
-    first, so each base interval's dense output is read in one batch.
+    Every record time of every period is mapped into its base interval, so
+    each base interval's dense output is read in one batch, one partial
+    step per distinct local time.  The entry states ``E(t_k, zeta_k)^-1
+    x(t_k)`` follow one another in a loop over the intervals; every record
+    is then ``E(t, zeta_k)`` times its interval's entry state, all in one
+    product.
     """
     _check_span(system, t_end, dt_out)
-    x0 = np.asarray(x0, dtype=complex).reshape(system.n)
+    x0 = _initial_state(system, x0)
+    layout = _layout(system, t_end, dt_out)
     ops_base = interval_operators(system)
     p = system.p
-    plan = _plan(system, t_end, dt_out)
-    local = [[] for _ in range(p)]
-    for k, _, t_stop, inside, _ in plan:
-        local[k % p].append(np.append(inside, t_stop) - (k // p) * system.omega)
-    blocks = [
-        ops.e_many(np.concatenate(times)) if times else None
-        for ops, times in zip(ops_base, local)
-    ]
-    used = [0] * p
-
-    def propagate(k, t_start, t_stop, inside, x_k):
-        j = k % p
-        m = len(inside) + 1
-        E = blocks[j][used[j] : used[j] + m]
-        used[j] += m
-        return E @ (ops_base[j].E_left_inv @ x_k)
-
-    return _assemble(system, x0, plan, propagate, "cauchy", t_end, dt_out)
+    states = np.empty((len(layout.times), system.n), dtype=complex)
+    states[0] = x0
+    # Rows read from the dense output: all but row 0 and the post-impulse rows.
+    reads = np.flatnonzero(layout.codes != 2)[1:]
+    counts = layout.ends - layout.firsts + 1
+    owner = np.repeat(np.arange(counts.size), counts)
+    local = layout.times[reads] - (owner // p) * system.omega
+    E = np.empty((reads.size, system.n, system.n))
+    for j, ops in enumerate(ops_base):
+        at = np.flatnonzero(owner % p == j)
+        E[at] = ops.e_many(local[at])
+    left_inv = [ops.E_left_inv.astype(complex) for ops in ops_base]
+    factors = [system.impulse_factor(r).astype(complex) for r in range(1, p + 1)]
+    # E at every interval's end record.
+    E_stop = E[np.cumsum(counts) - 1].astype(complex)
+    entry = np.empty((counts.size, system.n), dtype=complex)
+    x_k = x0
+    for k, has_impulse in enumerate(layout.impulse.tolist()):
+        entry[k] = y = left_inv[k % p] @ x_k
+        if has_impulse:
+            x_k = factors[k % p] @ (E_stop[k] @ y)
+            states[layout.ends[k] + 1] = x_k
+    states[reads] = (E @ entry[owner][..., None])[..., 0]
+    return Trajectory(layout.times, layout.kinds, states, "cauchy", t_end, dt_out)
 
 
 def _direct_anchor_value(system, k, x_k):
@@ -252,9 +395,13 @@ def _direct_anchor_value(system, k, x_k):
 def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
     """Independent trajectory oracle via per-interval direct integration."""
     _check_span(system, t_end, dt_out)
-    x0 = np.asarray(x0, dtype=complex).reshape(system.n)
-
-    def propagate(k, t_start, t_stop, inside, x_k):
+    x0 = _initial_state(system, x0)
+    layout = _layout(system, t_end, dt_out)
+    states = np.empty((len(layout.times), system.n), dtype=complex)
+    states[0] = x_k = x0
+    bounds = zip(layout.starts.tolist(), layout.stops.tolist(), layout.firsts.tolist(),
+                 layout.ends.tolist(), layout.impulse.tolist())
+    for k, (t_start, t_stop, first, end, has_impulse) in enumerate(bounds):
         forcing_anchor = _direct_anchor_value(system, k, x_k).copy()
 
         def rhs(u, y):
@@ -271,9 +418,12 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
         )
         if not sol.success:
             raise NumericalError(f"interval integration failed: {sol.message}")
-        return np.array([sol.sol(t) for t in inside] + [sol.y[:, -1]])
-
-    return _assemble(system, x0, _plan(system, t_end, dt_out), propagate, "direct", t_end, dt_out)
+        for row in range(first, end):
+            states[row] = sol.sol(layout.times[row])
+        states[end] = sol.y[:, -1]
+        if has_impulse:
+            x_k = states[end + 1] = system.impulse_factor(k + 1) @ states[end]
+    return Trajectory(layout.times, layout.kinds, states, "direct", t_end, dt_out)
 
 
 def max_discrepancy(a: Trajectory, b: Trajectory) -> float:

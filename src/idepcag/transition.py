@@ -25,8 +25,8 @@ exponential (Van Loan, IEEE TAC 1978), so they agree at the first comparison.
 An interval is integrated once, from its argument value ``zeta_k`` to both
 ends, and its node values are cached; monodromy assembly integrates every
 branch of the period in one batch.  Dense output at ``t`` is one partial
-Magnus step from the node at or left of ``t``, batched over the query
-times.  The norm integrals of the invertibility diagnostics use a batched
+Magnus step from the node at or left of ``t``, batched over the distinct
+query times.  The norm integrals of the invertibility diagnostics use a batched
 adaptive Gauss-Kronrod 7-15 rule: one vectorized evaluation of the
 coefficient matrix per refinement level, over every half-interval of the
 period.  As in QUADPACK's ``qagp`` (Piessens et al. 1983), a subinterval
@@ -253,7 +253,9 @@ class IntervalOperators:
     def _top_many(self, ts):
         """Top block rows ``[U11, U12]`` of ``U(t, zeta)`` for every time of
         ``ts``: shape ``(m, n, 2n)``.  At a node time (``zeta`` included)
-        they are the stored node values exactly."""
+        they are the stored node values exactly.  One partial step serves
+        every repeat of a time, and a step's bits do not depend on the
+        batch it is taken in, so each row is that of its time alone."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         slack = 1e-9 * max(1.0, abs(self.t_right))
         # Written so that NaN, for which every comparison is false, raises.
@@ -263,7 +265,8 @@ class IntervalOperators:
                 f"t = {float(ts[outside][0])!r} outside interval "
                 f"[{self.t_left!r}, {self.t_right!r}]"
             )
-        ts = np.minimum(np.maximum(ts, self.t_left), self.t_right)
+        ts, inverse = np.unique(np.minimum(np.maximum(ts, self.t_left), self.t_right),
+                                return_inverse=True)
         k = np.searchsorted(self._times, ts, side="right") - 1
         starts = self._times[k]
         top = np.empty((ts.size, self.n, 2 * self.n))
@@ -272,7 +275,7 @@ class IntervalOperators:
             at = slice(i, i + _DENSE_BLOCK)
             step = _expm_many(_magnus_omega(self._A, self._B, starts[at], ts[at] - starts[at]))
             np.matmul(step[:, : self.n], self._nodes[k[at]], out=top[at])
-        return top
+        return top[inverse]
 
     def e_at(self, t: float) -> np.ndarray:
         return self.e_many(t)[0]

@@ -3,6 +3,21 @@ import json
 import pytest
 
 from idepcag import load_bundled_system, load_system
+from idepcag import transition
+
+
+def count_partial_steps(monkeypatch):
+    """Patch ``transition._magnus_omega`` to record the number of steps of
+    every call; returns the list it appends to."""
+    steps = []
+    original = transition._magnus_omega
+
+    def spy(A, B, t0, h):
+        steps.append(t0.size)
+        return original(A, B, t0, h)
+
+    monkeypatch.setattr(transition, "_magnus_omega", spy)
+    return steps
 
 
 def sin_doc(c, tolerances=None):

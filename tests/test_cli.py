@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,28 @@ def test_simulate_complex_x0(capsys):
 def test_simulate_x0_dimension_mismatch(capsys):
     assert main(["simulate", _spec("rotation_2x2"), "--x0", "1",
                  "--t-end", "1"]) == 1
+
+
+@pytest.mark.parametrize("method", ["cauchy", "direct", "both"])
+@pytest.mark.parametrize("x0", ["nan,0", "1e400,0", "inf,0", "0,-infi", "1,nan+2i"])
+def test_simulate_non_finite_x0_exit_1(capsys, method, x0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        code = main(["simulate", _spec("rotation_2x2"), "--x0", x0,
+                     "--t-end", "1", "--method", method])
+    assert code == 1
+    assert "x0 must be finite" in capsys.readouterr().err
+
+
+def test_simulate_nan_x0_stderr_is_one_error_line():
+    src = Path(idepcag.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "idepcag", "simulate", _spec("rotation_2x2"),
+         "--x0", "nan,0", "--t-end", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr == "error: x0 must be finite\n"
 
 
 # --------------------------------------------------------------- factorize

@@ -22,7 +22,7 @@ from idepcag import (
 from idepcag import simulate
 from idepcag.model import ArgumentGrid
 from idepcag.simulate import Trajectory, _near, _plan
-from conftest import sin_doc
+from conftest import count_partial_steps, sin_doc
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,6 +204,14 @@ def test_non_finite_span_rejected(scalar_system):
             solve_direct(scalar_system, [1.0], t_end, dt_out)
 
 
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [math.inf, 1.0], [0.0, complex(0.0, -math.inf)],
+                                [float("1e400"), 0.0]])
+def test_non_finite_x0_rejected(rotation_system, x0):
+    for solver in (solve_cauchy, solve_direct):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solver(rotation_system, x0, 1.0, 0.1)
+
+
 def test_horizon_past_record_limit_rejected(scalar_system, monkeypatch):
     # scalar_impulse: omega = 1, p = 1.  The estimate t_end / dt_out +
     # 2 p t_end / omega is 16 at t_end = 4, dt_out = 0.5, an upper bound
@@ -327,7 +335,10 @@ def _plan_cases(draw):
 @given(_plan_cases())
 def test_plan_matches_quadratic_reference(case):
     system, t_end, dt_out = case
-    got = [(k, a, b, list(inside), f) for k, a, b, inside, f in _plan(system, t_end, dt_out)]
+    stops, impulse, samples, lo, hi = _plan(system, t_end, dt_out)
+    starts = [0.0] + stops.tolist()[:-1]
+    got = [(k, a, b, samples[l:h].tolist(), f) for k, (a, b, f, l, h)
+           in enumerate(zip(starts, stops.tolist(), impulse.tolist(), lo, hi))]
     assert got == _reference_plan(system, t_end, dt_out)
 
 
@@ -349,7 +360,7 @@ ADVANCED_N3_P2_DOC = json.dumps({
 
 @pytest.mark.parametrize("name, periods", [
     ("scalar_impulse", 5), ("sin_impulse", 5), ("rotation_2x2", 5), ("markus_yamabe", 5),
-    ("advanced_n3_p2", 50),
+    ("markus_yamabe", 100), ("advanced_n3_p2", 50),
 ])
 def test_batched_cauchy_matches_per_sample_reference(name, periods):
     if name == "advanced_n3_p2":
@@ -364,6 +375,15 @@ def test_batched_cauchy_matches_per_sample_reference(name, periods):
     assert np.array_equal(traj.times, times)
     gap = np.abs(traj.states - states).max(axis=1)
     assert np.all(gap <= 1e-13 * np.abs(states).max(axis=1))
+
+
+def test_long_trajectory_steps_only_its_distinct_phases(monkeypatch, my_system):
+    # At dt_out = omega / 20 the same local phases come back every period;
+    # the states are checked against the per-record reference above.
+    interval_operators(my_system)
+    steps = count_partial_steps(monkeypatch)
+    traj = solve_cauchy(my_system, [1.0, 0.5j], 100 * my_system.omega, my_system.omega / 20.0)
+    assert sum(steps) < 0.1 * len(traj.times)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2e-310, 2.2250738585072014e-308, 1e-300, -1e300,
@@ -400,3 +420,56 @@ def test_csv_bytes_match_per_cell_formatter(case):
     buffer = io.StringIO()
     traj.write_csv(buffer)
     assert buffer.getvalue() == _reference_csv(traj)
+
+
+def _assert_cells_match_printf(values):
+    """``write_csv`` prints every float of ``values`` as ``'%.12e' % v``."""
+    values = np.asarray(values, dtype=float)
+    rows = values[: values.size // 5 * 5].reshape(-1, 5)
+    traj = _trajectory(rows[:, 0], rows[:, 1:], 2)
+    buffer = io.StringIO()
+    traj.write_csv(buffer)
+    expected = "".join(
+        ",".join(["%.12e" % row[0], kind] + ["%.12e" % v for v in row[1:]]) + "\n"
+        for row, kind in zip(rows.tolist(), traj.kinds)
+    )
+    assert buffer.getvalue().split("\n", 1)[1] == expected
+
+
+def test_csv_cells_exact_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    _assert_cells_match_printf(rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(float))
+
+
+def test_csv_cells_exact_on_log_uniform_magnitudes():
+    rng = np.random.default_rng(21)
+    # The whole double range, and the range of the vectorized path.
+    magnitudes = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 40_000),
+                                 10.0 ** rng.uniform(-11.0, 24.0, 40_000)])
+    _assert_cells_match_printf(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
+
+
+def test_csv_cells_exact_near_ties_and_carries():
+    rng = np.random.default_rng(22)
+    # The doubles nearest (D + 1/2) 10^(e-12): significands a hair from a
+    # rounding tie, in and beyond the kernel's exponent range.
+    digits = rng.integers(10**12, 10**13, 20_000).tolist()
+    exponents = rng.integers(-14, 26, 20_000).tolist()
+    ties = [float(f"{d}5e{e - 13}") for d, e in zip(digits, exponents)]
+    # 9.9999999999995e+-k rounds up to 1.000000000000e(k+1) or stays below,
+    # depending on its last bits; walk 64 ulps either side.
+    carries = np.array([float(f"9.9999999999995e{k}") for k in range(-14, 26)]
+                       + [float(f"-9.9999999999995e{k}") for k in range(-14, 26)])
+    walk, up, down = [carries], carries, carries
+    for _ in range(64):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        walk += [up, down]
+    powers = np.array([10.0**k for k in range(-12, 25)] + [1e23, 1e-10, 1e22])
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    _assert_cells_match_printf(np.concatenate([ties, np.concatenate(walk), edges, -edges]))
+
+
+def test_csv_cells_exact_on_zeros_subnormals_and_non_finite():
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, math.nan,
+               -math.nan, math.inf, -math.inf, 1.7976931348623157e308, 9.99999999999e-11]
+    _assert_cells_match_printf(special * 20)

@@ -20,7 +20,7 @@ from idepcag import (
     w_local,
 )
 from idepcag import transition
-from conftest import scalar_doc, sin_doc
+from conftest import count_partial_steps, scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +171,24 @@ def test_e_many_matches_e_at_on_both_branches():
     for bad in (1.5, -0.5, math.nan):
         with pytest.raises(ValueError, match="outside interval"):
             ops.e_many([0.2, bad])
+
+
+def test_e_many_on_repeated_unsorted_times_gives_the_bits_of_each_time(rotation_system):
+    doc = json.loads(sin_doc(0.7))
+    doc["args"] = [0.5]
+    for ops in (interval_operators(load_system(json.dumps(doc)))[0],
+                interval_operators(rotation_system)[0]):
+        ts = [0.77, 0.1, 0.77, -0.0, 0.5, 0.0, 0.1, 1.0, 0.33, 0.77, 0.0, -0.0, 1e-300]
+        stacked = ops.e_many(ts)
+        for t, E in zip(ts, stacked):
+            assert E.tobytes() == ops.e_many([t])[0].tobytes()
+
+
+def test_e_many_takes_one_partial_step_per_distinct_time(monkeypatch, rotation_system):
+    ops = interval_operators(rotation_system)[0]
+    steps = count_partial_steps(monkeypatch)
+    ops.e_many([0.3, 0.1, 0.3, 0.2, 0.1, 0.3, 0.2])
+    assert sum(steps) == 3
 
 
 def test_singular_j_anchor_is_hard_error():
