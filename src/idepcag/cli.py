@@ -127,7 +127,8 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="trajectory CSV")
     p_sim.add_argument("spec")
     p_sim.add_argument("--x0", required=True,
-                       help="comma-separated complex entries, e.g. '1+2i,0'")
+                       help="comma-separated complex entries, e.g. '1+2i,0'; write a "
+                            "leading minus as --x0=-1,0")
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--dt-out", type=float, default=None,
                        help="output step (default t_end/200)")
@@ -246,12 +247,9 @@ def _cmd_factorize(args):
         "q_period": factor * system.omega,
         "P": cm(P),
         "residuals": {
-            "factorization": residuals.factorization,
-            "q_periodicity": residuals.q_periodicity,
-            "impulse_consistency": residuals.impulse_consistency,
+            "expm_roundtrip": residuals.expm_roundtrip,
             "q_equation": residuals.q_equation,
             "q_equation_scale": residuals.q_equation_scale,
-            "reduction": residuals.reduction,
         },
         "q_samples": {
             "times": [float(t) for t in times],

@@ -4,7 +4,7 @@ Matrices are plain ``numpy.ndarray``s (real or complex, square).  LU-based
 inversion/determinants, the eigensolver and the logarithm of defective
 matrices come from LAPACK via numpy/scipy; the exponential is a stacked
 Taylor kernel shared with the transition layer.  The branch, pivot and
-spectral-order policies that the Floquet factorization relies on live here.
+spectral-order policies that the Floquet normal form relies on live here.
 
 Eigenvalues are always reported sorted by descending modulus, then
 ascending argument, so downstream reports are deterministic.
@@ -111,7 +111,7 @@ def solve(M, B):
 
 
 def det(M):
-    """Determinant from the pivoted LU factorization."""
+    """Determinant from the pivoted LU decomposition."""
     M = _square(M)
     lu, piv = _lu_raw(M)
     d = np.prod(np.diag(lu))

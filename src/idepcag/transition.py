@@ -291,13 +291,18 @@ def _det_scale(J, n):
     return max(1.0, norm1(J)) ** n
 
 
+def _branch_ends(grid):
+    """``(k, end)`` of every non-empty branch ``[zeta_k, t_k or t_{k+1}]``."""
+    return [(j, end) for j, zeta in enumerate(grid.args)
+            for end in grid.times[j:j + 2] if end != zeta]
+
+
 def _build_intervals(system):
     """``IntervalOperators`` of every base interval, from one batched Magnus
     integration of all branches ``[zeta_k, t_{k+1}]`` and ``[zeta_k, t_k]``."""
     grid = system.grid
     n = system.n
-    ends = [(j, end) for j in range(system.p)
-            for end in (grid.times[j], grid.times[j + 1]) if end != grid.args[j]]
+    ends = _branch_ends(grid)
     flows = _magnus(system.A, system.B, system.tolerances,
                     [grid.args[j] for j, _ in ends], [end for _, end in ends])
     branches = dict(zip(ends, flows))

@@ -123,8 +123,7 @@ def test_criterion_6_structural_identity_suite():
         for name in pk.BUNDLED_SYSTEMS:
             system = pk.load_bundled_system(name)
             checks = {c.name: c for c in pk.structural_residuals(system)}
-            assert checks["factorization"].value <= 1e-6, name
-            assert checks["q_periodicity"].value <= 1e-6, name
+            assert checks["monodromy_refined"].value <= 1e-8, name
             assert checks["q_equation"].value <= 1e-5, name  # scale-normalized
             for op in ("phi", "j", "e"):
                 assert checks[f"biperiodicity_{op}"].value <= 1e-7, name

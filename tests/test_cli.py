@@ -210,6 +210,15 @@ def test_simulate_complex_x0(capsys):
     assert float(first[2]) == 1.0 and float(first[3]) == 2.0
 
 
+def test_simulate_x0_with_leading_minus(capsys):
+    # Written with '=', so argparse does not read -1,0 as an option.
+    code = main(["simulate", _spec("rotation_2x2"), "--x0=-1,0", "--t-end", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1].split(",")[:4] == ["0.000000000000e+00", "sample", "-1.000000000000e+00",
+                                       "0.000000000000e+00"]
+
+
 def test_simulate_x0_dimension_mismatch(capsys):
     assert main(["simulate", _spec("rotation_2x2"), "--x0", "1",
                  "--t-end", "1"]) == 1
@@ -249,7 +258,8 @@ def test_factorize_sin_nonimpulsive(tmp_path, capsys):
     for t, matrix in zip(out["q_samples"]["times"], out["q_samples"]["matrices"]):
         expected = 1.0 + (1.0 - math.cos(2.0 * math.pi * t)) / (2.0 * math.pi)
         assert matrix[0][0][0] == pytest.approx(expected, abs=1e-7)
-    assert out["residuals"]["q_periodicity"] <= 1e-6
+    assert sorted(out["residuals"]) == ["expm_roundtrip", "q_equation", "q_equation_scale"]
+    assert out["residuals"]["expm_roundtrip"] <= 1e-14
 
 
 def test_factorize_constant_system_recovers_generator(tmp_path, capsys):
@@ -271,7 +281,7 @@ def test_factorize_real_two_periodic(capsys):
     assert out["real"] is True
     assert out["q_period"] == pytest.approx(2.0)
     assert abs(out["P"][0][0][0]) <= 1e-10
-    assert out["residuals"]["q_periodicity"] <= 1e-8
+    assert out["residuals"]["expm_roundtrip"] <= 1e-14
 
 
 def test_factorize_csv_output(capsys):

@@ -268,32 +268,39 @@ def test_normal_form_constant_coefficients_trivial():
     # B = 0, C = 0, A constant: X = exp(A t), Q stays I
     system = load_system(constant_doc(a=-0.2, c=0.0))
     report = verify_normal_form(system)
-    assert report.factorization <= 1e-9
-    assert report.q_periodicity <= 1e-9
-    assert report.impulse_consistency <= 1e-9
+    assert report.expm_roundtrip <= 1e-14
     assert report.q_equation <= 1e-5 * report.q_equation_scale
-    assert report.reduction <= 1e-9
+    P = floquet_P(monodromy(system), 1.0)
+    for t in (0.3, 1.7, 2.5):
+        assert norm1(q_factor(system, P, t) - np.eye(1)) <= 1e-9
 
 
 def test_normal_form_sin_nonimpulsive(sin_nonimpulsive):
     report = verify_normal_form(sin_nonimpulsive)
-    assert report.q_periodicity <= 1e-7
+    assert report.expm_roundtrip <= 1e-14
+    P = floquet_P(monodromy(sin_nonimpulsive), 1.0)
+    for t in report.sample_times:
+        gap = q_factor(sin_nonimpulsive, P, t + 1.0) - q_factor(sin_nonimpulsive, P, t)
+        assert norm1(gap) <= 1e-7
     rep = analyze(sin_nonimpulsive)
     assert rep.verdict.kind == PERIODIC_OMEGA
 
 
 def test_normal_form_rotation(rotation_system):
     report = verify_normal_form(rotation_system)
-    assert report.factorization <= 1e-6
-    assert report.q_periodicity <= 1e-6
-    assert report.impulse_consistency <= 1e-6
+    assert report.expm_roundtrip <= 1e-14
     assert report.q_equation <= 1e-5 * report.q_equation_scale
 
 
 def test_normal_form_real_variant(scalar_system):
     report = verify_normal_form(scalar_system, real=True)
     assert report.period_factor == 2
-    assert report.q_periodicity <= 1e-8
+    assert report.expm_roundtrip <= 1e-14
+    # exp(2 omega P_real) = X^2 is checked directly: a generator off by 1e-6
+    # misses it by about 2e-6.
+    P_real = floquet_P_real(monodromy(scalar_system), scalar_system.omega)
+    off = verify_normal_form(scalar_system, P=P_real + 1e-6, real=True)
+    assert off.expm_roundtrip > 1e-8
 
 
 # --------------------------------------------------------- diagonal oracle
@@ -492,7 +499,7 @@ def test_structural_residuals_pass_on_bundled(sin_system):
     checks = structural_residuals(sin_system)
     assert all(c.passed for c in checks)
     names = [c.name for c in checks]
-    for expected in ("biperiodicity_phi", "cocycle", "liouville", "factorization",
+    for expected in ("biperiodicity_phi", "cocycle", "liouville", "monodromy_refined",
                      "q_equation", "det_vs_multipliers"):
         assert expected in names
 
@@ -511,7 +518,8 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
     monkeypatch.setattr(transition, "_magnus", counting)
     checks = structural_residuals(rotation_system, pairs=2)
     # One batch of 12 segments. Biperiodicity: 2 pairs x 2 shifts;
-    # cocycle: 2 x 3; liouville: 2.
+    # cocycle: 2 x 3; liouville: 2.  The refined monodromy takes fixed
+    # passes and does not go through _magnus.
     assert len(calls) == 1
     t0, t1 = calls[0]
     assert len(t0) == len(t1) == 12
@@ -523,13 +531,40 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
         ("liouville", 1e-8),
         ("det_vs_multipliers", 1e-8),
         ("expm_p_roundtrip", 1e-8),
-        ("factorization", 1e-6),
-        ("q_periodicity", 1e-6),
-        ("impulse_consistency", 1e-6),
+        ("monodromy_refined", 1e-8),
         ("q_equation", 1e-5),
-        ("reduction", 1e-6),
     ]
     assert all(c.passed for c in checks)
+
+
+def test_structural_residuals_catch_corrupted_operator_cache(monkeypatch):
+    # E_right off by 1e-6 in the cache: X(omega) and every read of W and Q
+    # carry the defect consistently, so only the fresh reassembly of
+    # X(omega) can see it.
+    import dataclasses
+
+    import idepcag.transition as transition
+
+    system = load_bundled_system("rotation_2x2")
+    clean = structural_residuals(system)
+    ops = interval_operators(system)
+    corrupted = (dataclasses.replace(ops[0], E_right=ops[0].E_right + 1e-6), *ops[1:])
+    monkeypatch.setitem(transition._OPS_CACHE, system, corrupted)
+    checks = structural_residuals(system)
+    assert [c.name for c in checks] == [c.name for c in clean]
+    refined = next(c for c in checks if c.name == "monodromy_refined")
+    assert not refined.passed and refined.value > 1e-7
+    assert all(c.passed for c in checks if c is not refined)
+    # The fresh-integration rows do not read the cache at all.
+    assert [c.value for c in checks[:5]] == [c.value for c in clean[:5]]
+
+
+def test_monodromy_refined_non_finite_is_a_breach(rotation_system, monkeypatch):
+    monkeypatch.setattr(floquet, "_magnus_pass", lambda A, B, t0, t1, N: np.full(
+        (t0.size, N + 1, 2 * A.n, 2 * A.n), np.nan))
+    checks = {c.name: c for c in structural_residuals(rotation_system)}
+    assert checks["monodromy_refined"].value == math.inf
+    assert not checks["monodromy_refined"].passed
 
 
 def test_structural_residuals_catch_broken_period(sin_system):

@@ -91,9 +91,13 @@ def test_structural_residuals_two_interval(two_interval):
 
 def test_verify_normal_form_two_interval(two_interval):
     report = pk.verify_normal_form(two_interval)
-    assert report.factorization <= 1e-8
-    assert report.q_periodicity <= 1e-8
-    assert report.impulse_consistency <= 1e-8
+    assert report.expm_roundtrip <= 1e-14
+    assert report.q_equation <= 1e-5 * report.q_equation_scale
+    # Q is omega-periodic across both impulses.
+    P = pk.floquet_P(pk.monodromy(two_interval), two_interval.omega)
+    for t in report.sample_times:
+        gap = pk.q_factor(two_interval, P, t + 2.0) - pk.q_factor(two_interval, P, t)
+        assert pk.norm1(gap) <= 1e-8, t
 
 
 ADVANCED_2X2_DOC = json.dumps({
