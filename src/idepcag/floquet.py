@@ -89,45 +89,51 @@ class Verdict:
         return self.kind if self.n is None else f"{self.kind}({self.n})"
 
 
-def _states(system, k):
-    """Post-impulse states ``X(t_0), ..., X(t_k)`` from one running product."""
-    ops = interval_operators(system)
-    X = [np.eye(system.n)]
+def _chain(system, k, x):
+    """``X(t_r) x`` for ``r = 0..k``, stacked: the block ``x`` carried across
+    the breakpoints by the period steps ``S_j = (I + C_{j+1}) (E(t_{j+1},
+    zeta_j) E(t_j, zeta_j)^-1)``, one per base interval."""
+    dtype = np.result_type(float, x)
+    steps = [(system.impulse_factor(j + 1) @ (o.E_right @ o.E_left_inv)).astype(dtype)
+             for j, o in enumerate(interval_operators(system))]
+    X = np.empty((k + 1,) + x.shape, dtype)
+    X[0] = x
     for r in range(1, k + 1):
-        o = ops[(r - 1) % system.p]
-        X.append(system.impulse_factor(r) @ (o.E_right @ o.E_left_inv) @ X[-1])
+        np.matmul(steps[(r - 1) % system.p], X[r - 1], out=X[r])
     return X
 
 
-def _cauchy_many(system, ts, left=False):
-    """``W(t, 0)``, or its left limit ``W(t^-, 0)`` when ``left``, for every
-    time of ``ts``, stacked: the local factor ``E(t, zeta_j) E(t_j, zeta_j)^-1``
-    across the time's base interval j, read in one ``e_many`` call per
-    interval, times the state ``X(t_k)`` at its last breakpoint.  At a
-    breakpoint the right limit is post-impulse (solutions are
-    right-continuous) and the left limit is the end of the interval before.
+def _cauchy_many(system, ts, left=False, x=None):
+    """``W(t, 0) x``, or the left limit ``W(t^-, 0) x`` where ``left`` (a flag
+    or a per-time mask), for every time of ``ts``, stacked; ``x`` is an
+    ``n``-row block, the identity by default.  Each row is the local factor
+    ``E(t, zeta_j) E(t_j, zeta_j)^-1`` across the time's base interval j,
+    read in one ``e_many`` call per interval, times ``X(t_k) x`` at its last
+    breakpoint.  At a breakpoint the right limit is post-impulse (solutions
+    are right-continuous) and the left limit is the end node of the
+    interval before.
     """
     grid, p = system.grid, system.p
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    if left and (ts <= 0).any():
+    if (left & (ts <= 0)).any():
         raise ValueError("left limits exist for t > 0 only")
     if (ts < 0).any():
         raise ValueError("cauchy_matrix is anchored at tau = 0; t must be >= 0")
-    reads = [[] for _ in range(p)]  # per base interval: (row, local time, k)
-    for row, t in enumerate(ts.tolist()):
-        k, m, j = grid.locate(t)
-        tk = grid.time_at(k)
-        if left and k >= 1 and abs(t - tk) <= 1e-12 * max(1.0, abs(tk)):
-            k, j = k - 1, (k - 1) % p
-            reads[j].append((row, grid.times[j + 1], k))
-        else:
-            reads[j].append((row, t - m * system.omega, k))
-    X = _states(system, max((k for group in reads for _, _, k in group), default=0))
-    out = np.empty((ts.size, system.n, system.n))
-    for ops, group in zip(interval_operators(system), reads):
-        if group:
-            rows, local, ks = map(list, zip(*group))
-            out[rows] = ops.e_many(local) @ ops.E_left_inv @ np.stack([X[k] for k in ks])
+    x = np.eye(system.n) if x is None else np.asarray(x)
+    k, m, _ = grid.locate(ts)
+    tk = grid.time_at(k)
+    back = left & (k >= 1) & (np.abs(ts - tk) <= 1e-12 * np.maximum(1.0, np.abs(tk)))
+    k = k - back
+    j = k % p
+    local = np.where(back, np.asarray(grid.times)[j + 1], ts - m * system.omega)
+    X = _chain(system, int(k.max(initial=0)), x)
+    out = np.empty((ts.size,) + X.shape[1:], dtype=X.dtype)
+    for i, ops in enumerate(interval_operators(system)):
+        at = np.flatnonzero(j == i)
+        if at.size:
+            # Periodicity brings the same local times back every period.
+            phases, which = np.unique(local[at], return_inverse=True)
+            out[at] = (ops.e_many(phases) @ ops.E_left_inv)[which] @ X[k[at]]
     return out
 
 
@@ -146,7 +152,7 @@ def cauchy_matrix_left(system: SystemSpec, t: float) -> np.ndarray:
 def monodromy(system: SystemSpec) -> np.ndarray:
     """Monodromy matrix ``X(omega)``: one impulse-and-interval factor per
     breakpoint of the fundamental period."""
-    return _states(system, system.p)[-1]
+    return _chain(system, system.p, np.eye(system.n))[-1]
 
 
 def _refined_monodromy(system):
@@ -358,8 +364,9 @@ def verify_normal_form(
     grid = system.grid
     # An anchor at the interval's right end is read before that breakpoint's
     # impulse: the equation needs the left limit there.
+    _, ms, js = grid.locate(np.array(ts))
     anchors = [(grid.args[j] + m * omega, grid.args[j] == grid.times[j + 1])
-               for _, m, j in map(grid.locate, ts)]
+               for m, j in zip(ms.tolist(), js.tolist())]
     # t + c h is bitwise the time _fd5 reads: t - 2 h is t + (-2 h).
     right = sorted({*(t + c * h for t in ts for c in (-2, -1, 0, 1, 2)),
                     *(gamma for gamma, at_end in anchors if not at_end)})

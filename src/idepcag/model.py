@@ -181,34 +181,40 @@ class ArgumentGrid:
     times: tuple
     args: tuple
 
-    def locate(self, t: float) -> tuple[int, int, int]:
-        """Global interval data for ``t``: ``(k, m, j)`` with ``k = m*p + j``.
+    def locate(self, t):
+        """Global interval data ``(k, m, j)`` of ``t``, with ``k = m*p + j``:
+        ``time_at(k) <= t < time_at(k + 1)``, so a breakpoint of any period
+        starts its interval.  ``m`` is the period shift and ``j`` the base
+        interval index.  Elementwise, as integer arrays, for an array ``t``;
+        a scalar ``t`` gives Python ints.
 
-        ``m`` is the period shift and ``j`` the base interval index, i.e.
-        ``t - m*omega`` lies in ``[t_j, t_{j+1})``.
+        ``t - m*omega`` can round across a breakpoint that ``time_at``
+        computes as ``times[j] + m*omega``, so the interval found from it is
+        moved by at most one to meet the bounds in ``time_at``'s arithmetic.
         """
-        if not math.isfinite(t):
-            raise ValueError("t must be finite")
-        m = math.floor(t / self.omega)
-        r = t - m * self.omega
-        while r < 0.0:
-            m -= 1
-            r = t - m * self.omega
-        while r >= self.omega:
-            m += 1
-            r = t - m * self.omega
-        j = int(np.searchsorted(self.times, r, side="right")) - 1
-        j = min(max(j, 0), self.p - 1)
-        return m * self.p + j, m, j
+        ts = np.asarray(t, dtype=float)
+        # Written so that NaN, for which every comparison is false, raises.
+        if not (np.abs(ts) < 2.0**53 * self.omega).all():
+            raise ValueError("t must be finite and within 2**53 periods of 0")
+        m = np.floor(ts / self.omega).astype(np.int64)
+        k = m * self.p + np.searchsorted(self.times[1:-1], ts - m * self.omega, side="right")
+        start, end = self.time_at(np.stack((k, k + 1)))
+        k = k + (ts >= end) - (ts < start)
+        m, j = np.divmod(k, self.p)
+        if ts.ndim:
+            return k, m, j
+        return int(k), int(m), int(j)
 
     def gamma(self, t: float) -> float:
         """Argument value ``gamma(t) = zeta_{k(t)}``; see ``gamma_at``."""
         return gamma_at(self, t)[1]
 
-    def time_at(self, k: int) -> float:
-        """Global breakpoint ``t_k`` via the extension rule."""
-        m, j = divmod(k, self.p)
-        return self.times[j] + m * self.omega
+    def time_at(self, k):
+        """Global breakpoint ``t_k = times[j] + m*omega`` via the extension
+        rule; elementwise for an integer array ``k``."""
+        m, j = np.divmod(k, self.p)
+        t = np.asarray(self.times)[j] + m * self.omega
+        return t if np.ndim(t) else float(t)
 
     def arg_at(self, k: int) -> float:
         """Global argument value ``zeta_k`` via the extension rule."""

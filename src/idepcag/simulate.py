@@ -12,13 +12,13 @@ the impulse at the right endpoint.
 Output grids always include every breakpoint in range with a paired
 left-limit / post-impulse record, so consumers can plot the jumps
 faithfully.  Both solvers fill the same record layout (``_layout``), built
-from the interval plan with array operations.  ``solve_cauchy`` reads the
-dense output once per distinct local time (periodicity brings the same
-phases back every period), carries the interval entry states through the
-periods in one sequential loop of ``n x n`` products, and then gives every
-record its state in one batched product.  ``Trajectory.write_csv`` formats
-all cells with a vectorized ``%.12e`` kernel that hands the few cells it
-cannot prove exact to Python's formatter.
+from the interval plan with array operations.  ``solve_cauchy`` is one
+``W(t, 0) x0`` read of ``floquet._cauchy_many`` at every record time: the
+dense output is read once per distinct local time (periodicity brings the
+same phases back every period), and left limits at their end nodes.
+``Trajectory.write_csv`` formats all cells with a vectorized ``%.12e``
+kernel that hands the few cells it cannot prove exact to Python's
+formatter.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .floquet import _cauchy_many
 from .linalg import NumericalError, solve
 from .model import SystemSpec
-from .transition import interval_operators
 
 __all__ = ["Trajectory", "solve_cauchy", "solve_direct", "max_discrepancy"]
 
@@ -213,7 +213,7 @@ def _plan(system, t_end, dt_out):
     for ``k = 0``) to ``stops[k]``, ends with an impulse when
     ``impulse[k]`` and takes the samples ``samples[lo[k]:hi[k]]``.
 
-    The breakpoints ``t_k`` are computed as ``grid.time_at`` computes them.
+    The breakpoints ``t_k`` are ``grid.time_at(k)``.
     Every interval but the last stops at ``t_{k+1}``, which lies below
     ``t_end`` and not ``_near`` it; the last stops at the first breakpoint
     that does not, when that one is ``_near`` ``t_end``, and otherwise at
@@ -231,9 +231,7 @@ def _plan(system, t_end, dt_out):
     # Up to a period past every breakpoint _near t_end, so the last one
     # ends the interval search below.
     reach = t_end + 1e-9 * max(1.0, t_end)
-    k = np.arange(1, (int(reach / grid.omega) + 2) * grid.p + 1)
-    m, j = np.divmod(k, grid.p)
-    tk = np.asarray(grid.times)[j] + m * grid.omega
+    tk = grid.time_at(np.arange(1, (int(reach / grid.omega) + 2) * grid.p + 1))
     breaks = tk[tk <= t_end + 1e-15 * max(1.0, abs(t_end))]
     # One past the last sample is at least t_end, so the stop test fires.
     samples = np.arange(1, int(t_end / dt_out) + 3) * dt_out
@@ -314,43 +312,14 @@ def _layout(system, t_end, dt_out):
 
 
 def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
-    """Trajectory ``x(t) = W(t, 0) x0`` on the output grid plus breakpoints.
-
-    Every record time of every period is mapped into its base interval, so
-    each base interval's dense output is read in one batch, one partial
-    step per distinct local time.  The entry states ``E(t_k, zeta_k)^-1
-    x(t_k)`` follow one another in a loop over the intervals; every record
-    is then ``E(t, zeta_k)`` times its interval's entry state, all in one
-    product.
-    """
+    """Trajectory ``x(t) = W(t, 0) x0`` on the output grid plus breakpoints:
+    one ``_cauchy_many`` read of every record time, left limits at the
+    left-limit records."""
     _check_span(system, t_end, dt_out)
     x0 = _initial_state(system, x0)
     layout = _layout(system, t_end, dt_out)
-    ops_base = interval_operators(system)
-    p = system.p
-    states = np.empty((len(layout.times), system.n), dtype=complex)
+    states = _cauchy_many(system, layout.times, layout.codes == 1, x0[:, None])[..., 0]
     states[0] = x0
-    # Rows read from the dense output: all but row 0 and the post-impulse rows.
-    reads = np.flatnonzero(layout.codes != 2)[1:]
-    counts = layout.ends - layout.firsts + 1
-    owner = np.repeat(np.arange(counts.size), counts)
-    local = layout.times[reads] - (owner // p) * system.omega
-    E = np.empty((reads.size, system.n, system.n))
-    for j, ops in enumerate(ops_base):
-        at = np.flatnonzero(owner % p == j)
-        E[at] = ops.e_many(local[at])
-    left_inv = [ops.E_left_inv.astype(complex) for ops in ops_base]
-    factors = [system.impulse_factor(r).astype(complex) for r in range(1, p + 1)]
-    # E at every interval's end record.
-    E_stop = E[np.cumsum(counts) - 1].astype(complex)
-    entry = np.empty((counts.size, system.n), dtype=complex)
-    x_k = x0
-    for k, has_impulse in enumerate(layout.impulse.tolist()):
-        entry[k] = y = left_inv[k % p] @ x_k
-        if has_impulse:
-            x_k = factors[k % p] @ (E_stop[k] @ y)
-            states[layout.ends[k] + 1] = x_k
-    states[reads] = (E @ entry[owner][..., None])[..., 0]
     return Trajectory(layout.times, layout.kinds, states, "cauchy", t_end, dt_out)
 
 

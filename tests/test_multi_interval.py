@@ -44,6 +44,42 @@ def test_gamma_on_two_interval_grid(two_interval):
         assert grid.gamma(t) == gamma_at(grid, t)[1]
 
 
+@pytest.mark.parametrize("name", [*pk.BUNDLED_SYSTEMS, "two_interval"])
+def test_every_breakpoint_starts_its_interval(name, two_interval):
+    # t - m*omega can round below t_j at t = time_at(k) of a later period.
+    system = two_interval if name == "two_interval" else pk.load_bundled_system(name)
+    grid = system.grid
+    ks = range(2000)
+    assert [grid.locate(grid.time_at(k))[0] for k in ks] == list(ks)
+    times = grid.time_at(np.arange(2000))
+    assert np.array_equal(grid.locate(times)[0], np.arange(2000))
+    assert np.array_equal(grid.locate(np.nextafter(times, -math.inf))[0], np.arange(-1, 1999))
+
+
+def test_locate_on_arrays_equals_scalar_locate(two_interval):
+    grid = two_interval.grid
+    ts = np.array([-3.7, -2.0, 0.0, 0.4, 0.8, 1.99, 2.0, 2.8, 5.3, 6.8, 1e6 + 0.8])
+    k, m, j = grid.locate(ts)
+    assert [grid.locate(t) for t in ts.tolist()] == list(zip(k.tolist(), m.tolist(), j.tolist()))
+    assert np.array_equal(k, m * grid.p + j)
+    assert all(type(v) is int for v in grid.locate(2.8))
+    for bad in (math.nan, math.inf, -math.inf, 2.0**53 * grid.omega, -1e300):
+        with pytest.raises(ValueError, match="finite"):
+            grid.locate(bad)
+        with pytest.raises(ValueError, match="finite"):
+            grid.locate(np.array([0.5, bad]))
+
+
+def test_cauchy_matrix_at_a_later_breakpoint_is_post_impulse(two_interval):
+    # t = 2.8 is t_3, where the impulse I + C_1 = 1.3 acts.
+    right = pk.cauchy_matrix(two_interval, 2.8)
+    left = pk.cauchy_matrix_left(two_interval, 2.8)
+    assert right[0, 0] == pytest.approx(1.3 * left[0, 0], rel=1e-14)
+    P = pk.floquet_P(pk.monodromy(two_interval), two_interval.omega)
+    gap = pk.q_factor(two_interval, P, 2.8) - pk.q_factor(two_interval, P, 0.8)
+    assert pk.norm1(gap) <= 1e-12
+
+
 def test_monodromy_product_order_scalar_b_zero():
     # with B = 0 and constant a, the period map is elementary:
     # (1 + c_2) e^{a (t_2 - t_1)} (1 + c_1) e^{a t_1}

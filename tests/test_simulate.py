@@ -255,7 +255,8 @@ def _reference_plan(system, t_end, dt_out):
 
 
 def _reference_cauchy(system, x0, t_end, dt_out):
-    """One ``e_at`` lookup per record: (times, kinds, states)."""
+    """One ``e_at`` lookup per record, a breakpoint's left limit at its
+    interval's end node: (times, kinds, states)."""
     ops_base = interval_operators(system)
     records = [(0.0, "sample", x0)]
     x_k = x0
@@ -265,7 +266,7 @@ def _reference_cauchy(system, x0, t_end, dt_out):
         anchor = ops.E_left_inv @ x_k
         for t in inside:
             records.append((t, "sample", ops.e_at(t - shift) @ anchor))
-        left = ops.e_at(t_stop - shift) @ anchor
+        left = ops.e_at(ops.t_right if has_impulse else t_stop - shift) @ anchor
         if has_impulse:
             x_k = system.impulse_factor(k + 1) @ left
             records += [(t_stop, "left_limit", left), (t_stop, "post_impulse", x_k)]
@@ -273,6 +274,26 @@ def _reference_cauchy(system, x0, t_end, dt_out):
             records.append((t_stop, "sample", left))
     times, kinds, states = zip(*records)
     return np.array(times), kinds, np.array(states)
+
+
+def test_post_impulse_records_follow_the_period_map_in_extended_precision(rotation_system):
+    # At a breakpoint the record is the post-impulse state X(t_k) x0, read
+    # from the cached end nodes: it must follow the cached period map
+    # S = (I + C_1) E(omega) E(0)^-1, chained here in np.longdouble.
+    system = rotation_system
+    x0 = np.linspace(1.0, -0.5, system.n) + 0.25j
+    traj = solve_cauchy(system, x0, 100 * system.omega, system.omega / 20.0)
+    posts = traj.states[[kind == "post_impulse" for kind in traj.kinds]]
+    ops = interval_operators(system)[0]
+    S = (system.impulse_factor(1) @ (ops.E_right @ ops.E_left_inv)).astype(np.longdouble)
+    y, chain = x0.astype(np.clongdouble), []
+    for _ in range(100):
+        y = S @ y
+        chain.append(y)
+    chain = np.array(chain)
+    assert posts.shape == chain.shape
+    rel = np.abs(posts - chain).max(axis=1) / np.abs(chain).max(axis=1)
+    assert float(rel.max()) <= 1e-14
 
 
 def _reference_csv(traj):

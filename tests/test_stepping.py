@@ -214,6 +214,23 @@ def test_cauchy_many_rows_equal_per_time_reads(label):
     assert np.array_equal(monodromy(system), _reference_state(system, system.p))
 
 
+@pytest.mark.parametrize("label", [*BUNDLED, *GENERATED])
+def test_cauchy_many_takes_a_left_mask_and_a_right_hand_block(label):
+    system = _load(label)
+    grid, omega = system.grid, system.omega
+    ts = np.array([*(grid.time_at(k) for k in range(1, 3 * system.p + 1)),
+                   0.37 * omega, 4.61 * omega, 2.0 * omega + 1e-13])
+    mask = np.arange(ts.size) % 2 == 0
+    rows = _cauchy_many(system, ts, mask)
+    assert np.array_equal(rows[mask], _cauchy_many(system, ts[mask], left=True))
+    assert np.array_equal(rows[~mask], _cauchy_many(system, ts[~mask]))
+    x = np.arange(2 * system.n).reshape(system.n, 2) * (0.5 - 0.25j) + 1.0
+    carried = _cauchy_many(system, ts, mask, x)
+    assert carried.shape == (ts.size, system.n, 2) and carried.dtype == complex
+    expected = rows @ x
+    assert np.abs(carried - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def _reference_fresh_residuals(system, pairs, seed):
     """The fresh-integration checks of ``structural_residuals``
     (biperiodicity of Phi/J/E, cocycle, Liouville) with one integration per
