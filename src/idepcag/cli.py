@@ -15,6 +15,7 @@ logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import logging
 import math
@@ -113,6 +114,8 @@ def _fmt_complex(z):
     return f"{z.real:.12e}{z.imag:+.12e}i"
 
 
+# Parsing leaves the parser as it was, so every call shares one.
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="idepcag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

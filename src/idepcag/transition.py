@@ -17,9 +17,14 @@ Gauss-Legendre nodes per step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 2009, §5).  A pass of ``N`` steps evaluates ``A`` and ``B`` once each on the
 nodes of every step, exponentiates all the steps' ``Omega`` in one stacked
 degree-15 Taylor exponential (``linalg._expm_many``) and chains them by a
-batched prefix product.  ``N`` starts at 2 and doubles until the node values
-of ``N`` and ``2N`` steps agree to ``ode_abs + ode_rel max|U|``; the ``2N``
-pass is kept.  Constant coefficients make every step an exact block
+batched prefix product.  Each segment steps on its own error estimate: it
+starts at 2 steps and compares every pass with the next, finer one on the
+coarse nodes.  Until the node gaps fall at the sixth-order rate, the finer
+pass is kept once the raw gap meets ``ode_abs + ode_rel max|U|``, and the
+steps double.  Once they do, the finer pass is kept on the Richardson
+estimate of its own error (the gap over ``r^6 - 1`` for a step ratio ``r``,
+with a safety factor), and the next step count is the one that estimate
+predicts (``_magnus``).  Constant coefficients make every step an exact block
 exponential (Van Loan, IEEE TAC 1978), so they agree at the first comparison.
 
 An interval is integrated once, from its argument value ``zeta_k`` to both
@@ -83,9 +88,11 @@ _GL3_COMB = np.array([
     [-10.0 / 3.0, -40.0 / 3.0, -10.0 / 3.0],
 ]).T
 _N_START = 2  # steps of the first pass of every segment
-_N_MAX = 2**13  # most steps of one segment's pass
+_N_MAX = 2**13  # most steps of one segment's pass (a power of two)
+# Margin on the Richardson estimate of an accepted pass's error.
+_SAFETY = 4.0
 _DENSE_BLOCK = 256  # most query times per batch of partial steps
-# Smallest relative tolerance the step doubling is asked to meet (scipy's
+# Smallest relative tolerance the step control is asked to meet (scipy's
 # floor for its own steppers); below it roundoff decides the comparison.
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
@@ -142,46 +149,77 @@ def _magnus(A, B, tol, t0, t1):
     segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U)``, with
     ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass.
 
-    Every open segment takes the same ``N``; a segment closes when its node
-    values at ``N`` and ``2N`` steps agree, at each node, to
-    ``ode_abs + ode_rel max|U|`` (``ode_rel`` floored at ``_RTOL_FLOOR``),
-    and keeps the ``2N`` pass.  Raises ``NumericalError`` on a non-finite
-    value and when ``N`` would pass ``_N_MAX``.
+    Each segment compares its last pass of ``N`` steps with a pass of
+    ``M = r N`` steps on the nodes of the first; its error measure is the
+    largest node gap over ``ode_abs + ode_rel max|U|`` (``ode_rel`` floored
+    at ``_RTOL_FLOOR``).  While the gaps do not yet fall at the sixth-order
+    rate, the ``M`` pass is accepted when that measure is at most 1, and
+    ``M`` doubles otherwise.  Once the ratio of a segment's last two gaps is
+    at least half the ratio that rate gives for its two step ratios (32 for
+    two doublings), the error of the ``M`` pass is about the gap over
+    ``r^6 - 1`` (Richardson; Hairer, Norsett & Wanner, *Solving ODEs I*,
+    §II.4): the pass is accepted when ``_SAFETY`` times that estimate meets
+    the tolerance, and otherwise the next ``M`` is the one the estimate
+    predicts, rounded up to a power of two, at least ``2M`` and at most
+    ``_N_MAX``.  Segments at the same ``(N, M)`` share one pass, and a
+    segment's steps depend on its own gaps alone, so its result does not
+    depend on the batch.  Raises ``NumericalError`` on a non-finite value
+    and when a segment at ``_N_MAX`` steps stays open.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
     rtol = max(tol.ode_rel, _RTOL_FLOOR)
-    result = [None] * t0.size
-    live = np.arange(t0.size)
-    N = _N_START
+    size = t0.size
+    result = [None] * size
+    # Per segment: the steps of its next pass, and the error measure and
+    # step ratio of its last comparison (NaN before one).
+    steps = [2 * _N_START] * size
+    excess = [math.nan] * size
+    ratio = [math.nan] * size
+    live = list(range(size))
     # Overflow shows as a non-finite node value, which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = _magnus_pass(A, B, t0, t1, N)
-        while True:
-            N *= 2
-            fine = _magnus_pass(A, B, t0[live], t1[live], N)
-            finite = np.isfinite(fine).all(axis=(1, 2, 3))
-            if not finite.all():
-                bad = live[~finite][0]
-                raise NumericalError(
-                    f"transition operator on [{float(t0[bad])!r}, {float(t1[bad])!r}] "
-                    "is not finite"
-                )
-            on_nodes = fine[:, ::2]
-            gap = np.abs(on_nodes - coarse).max(axis=(2, 3))
-            bound = tol.ode_abs + rtol * np.abs(on_nodes).max(axis=(2, 3))
-            done = (gap <= bound).all(axis=1)
-            for i in np.flatnonzero(done):
-                result[live[i]] = ((t1[live[i]] - t0[live[i]]) / N, fine[i])
-            if done.all():
-                return result
-            if 2 * N > _N_MAX:
-                i = np.flatnonzero(~done)[0]
-                raise NumericalError(
-                    f"Magnus integration on [{float(t0[live[i]])!r}, {float(t1[live[i]])!r}] "
-                    f"missed its tolerance at {N} steps (node difference {gap[i].max():.3e})"
-                )
-            live, coarse = live[~done], fine[~done]
+        last = list(_magnus_pass(A, B, t0, t1, _N_START))
+        while live:
+            groups = {}
+            for i in live:
+                groups.setdefault((len(last[i]) - 1, steps[i]), []).append(i)
+            for (N, M), seg in groups.items():
+                fine = _magnus_pass(A, B, t0[seg], t1[seg], M)
+                finite = np.isfinite(fine).all(axis=(1, 2, 3))
+                if not finite.all():
+                    bad = seg[np.flatnonzero(~finite)[0]]
+                    raise NumericalError(
+                        f"transition operator on [{float(t0[bad])!r}, {float(t1[bad])!r}] "
+                        "is not finite"
+                    )
+                r = M // N
+                on_nodes = fine[:, ::r]
+                gap = np.abs(on_nodes - np.stack([last[i] for i in seg])).max(axis=(2, 3))
+                bound = tol.ode_abs + rtol * np.abs(on_nodes).max(axis=(2, 3))
+                for i, U, worst, node_gap in zip(seg, fine, (gap / bound).max(axis=1).tolist(),
+                                                 gap.max(axis=1).tolist()):
+                    # The rate shows when the measure fell by at least half
+                    # of (r_before^6 - 1) / (1 - r^-6); NaN compares false.
+                    rate = excess[i] >= 0.5 * (ratio[i] ** 6 - 1.0) / (1.0 - r**-6.0) * worst
+                    estimate = worst * _SAFETY / (r**6 - 1.0) if rate else worst
+                    if estimate <= 1.0:
+                        result[i] = ((t1[i] - t0[i]) / M, U)
+                        continue
+                    if M >= _N_MAX:
+                        raise NumericalError(
+                            f"Magnus integration on [{float(t0[i])!r}, {float(t1[i])!r}] "
+                            f"missed its tolerance at {M} steps (node difference {node_gap:.3e})"
+                        )
+                    steps[i] = 2 * M
+                    if rate:
+                        # The estimate falls as M^-6: the least power of two
+                        # that brings it to 1.
+                        wanted = min(M * estimate ** (1.0 / 6.0), _N_MAX)
+                        steps[i] = max(2 * M, 2 ** math.ceil(math.log2(wanted)))
+                    excess[i], ratio[i], last[i] = worst, r, U
+            live = [i for i in live if result[i] is None]
+    return result
 
 
 def _fresh_flows(system, s, t):

@@ -154,6 +154,32 @@ def test_unknown_flag_exit_1(capsys):
     assert main(["analyze", _spec("sin_impulse"), "--frobnicate"]) == 1
 
 
+def test_repeated_calls_share_one_parser_and_give_the_same_results(capsys):
+    # The parser is built once per process; a usage error between calls
+    # (an unknown flag, a missing required option) leaves nothing behind.
+    calls = [
+        ["verify", _spec("sin_impulse"), "--format", "json"],
+        ["analyze", _spec("scalar_impulse")],
+        ["analyze", _spec("sin_impulse"), "--frobnicate"],
+        ["sweep", _spec("scalar_table_template"), "--param", "AC", "--range=-1:1", "--steps", "3"],
+        ["simulate", _spec("rotation_2x2"), "--t-end", "1"],
+        ["simulate", _spec("rotation_2x2"), "--x0=-1,0", "--t-end", "0.5"],
+        ["factorize", _spec("sin_impulse"), "--samples", "3", "--format", "csv"],
+    ]
+    runs = []
+    for _ in range(3):
+        results = []
+        for argv in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        runs.append(results)
+    assert [code for code, _, _ in runs[0]] == [0, 0, 1, 0, 1, 0, 0]
+    assert "--frobnicate" in runs[0][2][2] and "--x0" in runs[0][4][2]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert idepcag.cli._build_parser() is idepcag.cli._build_parser()
+
+
 def test_invalid_log_level_exit_1(monkeypatch, capsys):
     monkeypatch.setenv("FLOQUET_LOG", "verbose")
     assert main(["analyze", _spec("sin_impulse")]) == 1

@@ -1,5 +1,5 @@
 """Regression tests for the Magnus transition layer (the stacked
-exponential, the N-vs-2N step doubling, the partial-step dense output) and
+exponential, the Richardson step control, the partial-step dense output) and
 the batched reads of the verification checks, which must give the bits of
 the per-time reads they replace."""
 
@@ -470,3 +470,111 @@ def test_step_doubling_cap_and_overflow_raise_numerical_error(monkeypatch):
     doc["A"] = [["-800"]]  # Phi underflows to 0 on the branch away from zeta
     with pytest.raises(NumericalError, match="singular"):
         interval_operators(load_system(json.dumps(doc)))
+
+
+# ------------------------------------------------- Richardson step control
+
+
+def _tighter(text):
+    """The document of ``text`` with both ODE tolerances 1000 times tighter."""
+    doc = json.loads(text)
+    tol = doc["tolerances"]
+    doc["tolerances"] = {**tol, "ode_abs": tol["ode_abs"] / 1000, "ode_rel": tol["ode_rel"] / 1000}
+    return json.dumps(doc)
+
+
+def _tolerance_units(system, X, reference):
+    """Largest entry of ``X - reference`` in units of the document's
+    ``ode_abs + ode_rel max|reference|``."""
+    tol = system.tolerances
+    return np.abs(X - reference).max() / (tol.ode_abs + tol.ode_rel * np.abs(reference).max())
+
+
+def _record_passes(monkeypatch):
+    """Patch ``transition._magnus_pass`` to record ``(N, U)`` of every pass."""
+    passes = []
+    original = transition._magnus_pass
+
+    def spy(A, B, t0, t1, N):
+        U = original(A, B, t0, t1, N)
+        passes.append((int(N), U))
+        return U
+
+    monkeypatch.setattr(transition, "_magnus_pass", spy)
+    return passes
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 3),
+    anchors=st.lists(st.sampled_from(["retarded", "interior", "advanced"]), min_size=1, max_size=3),
+    tol=st.sampled_from([1e-8, 1e-9, 1e-10]),
+)
+def test_monodromy_within_one_tolerance_unit_of_a_tighter_reference(seed, n, anchors, tol):
+    doc = json.loads(_generated_doc(seed, n, tuple(anchors)))
+    doc["tolerances"] = {"ode_abs": tol, "ode_rel": tol, "alg": 1e-9}
+    text = json.dumps(doc)
+    system = load_system(text)
+    reference = monodromy(load_system(_tighter(text)))
+    assert _tolerance_units(system, monodromy(system), reference) <= 1.0
+
+
+def test_markus_yamabe_operators_take_at_most_four_passes(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    interval_operators(load_bundled_system("markus_yamabe"))
+    assert len(passes) <= 4, [N for N, _ in passes]
+
+
+def _high_frequency_doc():
+    """Scalar document whose coefficient ``cos(80 pi t)`` makes 40 turns in
+    one period: the first passes do not resolve it, so their gaps fall far
+    slower than the sixth-order rate."""
+    return json.dumps({
+        "n": 1, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["cos(80*pi*t)"]], "B": [["0.2"]], "impulses": [[[0.1]]],
+        "tolerances": {"ode_abs": 1e-10, "ode_rel": 1e-10, "alg": 1e-9},
+    })
+
+
+def test_raw_gap_rule_holds_until_the_rate_shows(monkeypatch):
+    text = _high_frequency_doc()
+    system = load_system(text)
+    tol = system.tolerances
+    recorded = _record_passes(monkeypatch)
+    (h, U), = transition._magnus(system.A, system.B, tol, [0.0], [1.0])
+    monkeypatch.undo()
+    passes = [(N, V[0]) for N, V in recorded]
+    steps = [N for N, _ in passes]
+    assert steps[0] == transition._N_START and np.array_equal(U, passes[-1][1])
+    # Each comparison's largest node gap over ode_abs + ode_rel max|U|.
+    worst = []
+    for (N, coarse), (M, fine) in zip(passes, passes[1:]):
+        on_nodes = fine[:: M // N]
+        gap = np.abs(on_nodes - coarse).max(axis=(1, 2))
+        worst.append((gap / (tol.ode_abs + tol.ode_rel * np.abs(on_nodes).max(axis=(1, 2)))).max())
+    ratios = [a / b for a, b in zip(worst, worst[1:])]
+    assert ratios[0] < 1.0 and ratios[1] < 4.0, ratios
+    for k, measure in enumerate(worst):
+        r_before = steps[k] / steps[k - 1] if k else math.nan
+        r = steps[k + 1] / steps[k]
+        shows = k > 0 and ratios[k - 1] >= 0.5 * (r_before**6 - 1.0) / (1.0 - r**-6.0)
+        last = k == len(worst) - 1
+        if not shows:
+            # The raw gap decides: accept at most 1, else double.
+            assert last == (measure <= 1.0), (steps, worst)
+            if not last:
+                assert steps[k + 2] == 2 * steps[k + 1], (steps, worst)
+    assert steps[2:4] == [8, 16]
+    reference = fundamental_matrix(load_system(_tighter(text)), 0.0, 1.0)
+    assert _tolerance_units(system, U[-1, :1, :1], reference) <= 1.0
+
+
+def test_predicted_steps_are_clamped_to_n_max(monkeypatch):
+    # markus_yamabe predicts 256 steps after its third pass; capped at 32,
+    # the jump stops there and the segment reports the cap.
+    monkeypatch.setattr(transition, "_N_MAX", 32)
+    passes = _record_passes(monkeypatch)
+    with pytest.raises(NumericalError, match="missed its tolerance at 32 steps"):
+        interval_operators(load_bundled_system("markus_yamabe"))
+    assert [N for N, _ in passes] == [2, 4, 8, 32]
