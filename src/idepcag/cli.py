@@ -224,7 +224,7 @@ def _cmd_factorize(args):
     factor = 2 if args.real else 1
     residuals = verify_normal_form(system, P=P, real=args.real)
     times = [i * factor * system.omega / args.samples for i in range(args.samples)]
-    q_values = _q_many(system, P, times)[1]
+    q_values = _q_many(system, P, times)
 
     if args.format == "csv":
         header = ["t"]

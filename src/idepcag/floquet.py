@@ -27,6 +27,7 @@ from .linalg import (
     Spectrum,
     _expm_many,
     _logm,
+    _require_invertible,
     eig,
     expm,
     logm_principal,
@@ -198,11 +199,8 @@ class SpectralData:
 def floquet_exponents(X: np.ndarray, omega: float) -> SpectralData:
     """Multipliers rho_j of ``X`` and exponents ``(1/omega) Log rho_j``."""
     spectrum = eig(X)
+    _require_invertible(X, spectrum)
     rho = spectrum.eigenvalues
-    if np.min(np.abs(rho)) <= 1e-14 * max(1.0, norm1(X)):
-        raise NumericalError(
-            "singular monodromy matrix: multipliers must be non-zero"
-        )
     # Keep arguments on the principal branch (-pi, pi]: np.angle returns
     # exactly -pi for a negative real with negative-zero imaginary part.
     args = np.angle(rho)
@@ -287,16 +285,16 @@ def floquet_P_real(X: np.ndarray, omega: float) -> np.ndarray:
 
 
 def _q_many(system, P, ts, left=False):
-    """``W(t, 0)`` (its left limit when ``left``) and ``Q(t)`` for every time
-    of ``ts``, stacked: one ``_cauchy_many`` read, one stacked exponential."""
+    """``Q(t) = W(t, 0) exp(-P t)`` for every time of ``ts``, read from the
+    left limit ``W(t^-, 0)`` where ``left`` (a flag or a per-time mask),
+    stacked: one ``_cauchy_many`` read, one stacked exponential."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    W = _cauchy_many(system, ts, left)
-    return W, W @ _expm_many(-P * ts[:, None, None])
+    return _cauchy_many(system, ts, left) @ _expm_many(-P * ts[:, None, None])
 
 
 def q_factor(system: SystemSpec, P: np.ndarray, t: float) -> np.ndarray:
     """Periodic factor ``Q(t) = W(t, 0) exp(-P t)``; ``Q(0) = I``."""
-    return _q_many(system, P, [t])[1][0]
+    return _q_many(system, P, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -316,6 +314,8 @@ class NormalFormResiduals:
 
 
 _FD_STEP = 1e-5
+# Interior sample times per base interval of the Q-equation residual.
+_Q_SAMPLES = 4
 
 
 def _fd5(f, t, h):
@@ -335,10 +335,15 @@ def _interior_samples(system, per_interval):
     return tuple(out)
 
 
+def _roundtrip(P, X, omega, factor=1):
+    """Relative residual of ``expm(factor omega P) = X^factor``."""
+    X_factor = np.linalg.matrix_power(X, factor)
+    return norm1(expm(P * (factor * omega)) - X_factor) / max(1.0, norm1(X_factor))
+
+
 def verify_normal_form(
     system: SystemSpec,
     P: np.ndarray | None = None,
-    samples: int = 4,
     real: bool = False,
 ) -> NormalFormResiduals:
     """Residuals of the normal form ``X(t) = Q(t) exp(P t)``: the relative
@@ -349,41 +354,39 @@ def verify_normal_form(
         Q' = A Q - Q P + B Q(gamma) exp(P (gamma - t)).
 
     Report-only: nothing raises on a large residual.  ``Q`` is read in one
-    ``_q_many`` call for right limits, plus one for left limits when an
-    anchor sits at its interval's right end.
+    ``_q_many`` call at every stencil point and every anchor.
     """
     omega = system.omega
     X_omega = monodromy(system)
     if P is None:
         P = floquet_P_real(X_omega, omega) if real else floquet_P(X_omega, omega)
     factor = 2 if real else 1
-    X_factor = np.linalg.matrix_power(X_omega, factor)
-    roundtrip = norm1(expm(P * (factor * omega)) - X_factor) / max(1.0, norm1(X_factor))
-    ts = _interior_samples(system, samples)
+    ts = _interior_samples(system, _Q_SAMPLES)
     h = _FD_STEP
     grid = system.grid
-    # An anchor at the interval's right end is read before that breakpoint's
+    times = np.array(ts)
+    _, ms, js = grid.locate(times)
+    args = np.asarray(grid.args)
+    gammas = args[js] + ms * omega
+    # Column c of the stencil, t + (c - 2) h, is bitwise the time _fd5 reads
+    # (t - 2 h is t + (-2 h)), so _fd5 finds every read in its row.
+    stencil = times[:, None] + np.arange(-2, 3) * h
+    # An anchor at its interval's right end is read before that breakpoint's
     # impulse: the equation needs the left limit there.
-    _, ms, js = grid.locate(np.array(ts))
-    anchors = [(grid.args[j] + m * omega, grid.args[j] == grid.times[j + 1])
-               for m, j in zip(ms.tolist(), js.tolist())]
-    # t + c h is bitwise the time _fd5 reads: t - 2 h is t + (-2 h).
-    right = sorted({*(t + c * h for t in ts for c in (-2, -1, 0, 1, 2)),
-                    *(gamma for gamma, at_end in anchors if not at_end)})
-    Q = dict(zip(right, _q_many(system, P, right)[1]))
-    left = sorted({gamma for gamma, at_end in anchors if at_end})
-    Q_left = dict(zip(left, _q_many(system, P, left, left=True)[1])) if left else {}
+    left = np.concatenate((np.zeros(stencil.size, bool), args[js] == np.asarray(grid.times)[js + 1]))
+    Q = _q_many(system, P, np.concatenate((stencil.ravel(), gammas)), left)
+    Q_stencil, Q_gammas = Q[:stencil.size].reshape(stencil.shape + Q.shape[1:]), Q[stencil.size:]
+    rows = np.arange(len(ts))
+    dQs = _fd5(lambda s: Q_stencil[rows, np.argmax(stencil == s[:, None], axis=1)], times, h)
 
     q_resid, q_scale = 0.0, 1.0
-    lags = _expm_many(P * np.array([gamma - t for t, (gamma, _) in zip(ts, anchors)])[:, None, None])
-    for t, (gamma, at_end), lag in zip(ts, anchors, lags):
-        dQ = _fd5(Q.__getitem__, t, h)
-        q_gamma = Q_left[gamma] if at_end else Q[gamma]
-        rhs = system.A.eval(t) @ Q[t] - Q[t] @ P + system.B.eval(t) @ q_gamma @ lag
+    lags = _expm_many(P * (gammas - times)[:, None, None])
+    for t, Q_t, dQ, q_gamma, lag in zip(ts, Q_stencil[:, 2], dQs, Q_gammas, lags):
+        rhs = system.A.eval(t) @ Q_t - Q_t @ P + system.B.eval(t) @ q_gamma @ lag
         q_resid = max(q_resid, norm1(dQ - rhs))
         q_scale = max(q_scale, norm1(rhs))
 
-    return NormalFormResiduals(factor, roundtrip, q_resid, q_scale, ts)
+    return NormalFormResiduals(factor, _roundtrip(P, X_omega, omega, factor), q_resid, q_scale, ts)
 
 
 def _quad_signed(f, lo, hi, **kw):
@@ -569,6 +572,8 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     ``monodromy_refined``, the relative gap between ``X(omega)`` and its
     reassembly at twice the cached step counts, estimates the truncation
     error of ``X(omega)`` and catches a corrupted operator cache.
+    ``expm_p_roundtrip`` and ``q_equation`` are the two residuals of one
+    ``verify_normal_form`` call on the principal generator.
     Returns an ordered list of ``ResidualCheck``.
     """
     omega = system.omega
@@ -613,28 +618,15 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
         worst = max(worst, abs(got - expected) / abs(expected))
     add("liouville", worst, 1e-8)
 
-    X = monodromy(system)
-    data = floquet_exponents(X, omega)
-    P = _logm(X, data.spectrum) / omega
-    for name, value in _spectral_residuals(X, omega, data, P).items():
-        add(name, value, 1e-8)
+    nf = verify_normal_form(system)
+    add("expm_p_roundtrip", nf.expm_roundtrip, 1e-8)
 
+    X = monodromy(system)
     refined = norm1(_refined_monodromy(system) - X) / max(1.0, norm1(X))
     add("monodromy_refined", refined if math.isfinite(refined) else math.inf, 1e-8)
 
-    nf = verify_normal_form(system, P=P)
     add("q_equation", nf.q_equation / nf.q_equation_scale, 1e-5)
     return checks
-
-
-def _spectral_residuals(X, omega, data, P):
-    """Relative residuals of ``det X = prod rho`` and ``expm(P omega) = X``,
-    as ``analyze`` reports and ``verify`` checks them."""
-    det_X = np.linalg.det(X.astype(complex))
-    return {
-        "det_vs_multipliers": abs(np.prod(data.multipliers) - det_X) / max(abs(det_X), 1e-300),
-        "expm_p_roundtrip": norm1(expm(P * omega) - X) / max(1.0, norm1(X)),
-    }
 
 
 def _spectral_core(system, n_max=N_MAX_DEFAULT):
@@ -655,7 +647,8 @@ def _spectral_core(system, n_max=N_MAX_DEFAULT):
 def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
     """Monodromy, multipliers, exponents, generators (``floquet_P`` and
     ``floquet_P_real``, both from the one spectrum) and stability verdict,
-    with the invertibility bounds and the spectral residuals."""
+    with the invertibility bounds and the generator roundtrip residual
+    ``expm_p_roundtrip``, as ``verify`` checks it."""
     X, data, verdict, P, P_real = _spectral_core(system, n_max)
     return FloquetReport(
         n=system.n,
@@ -669,5 +662,5 @@ def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
         verdict=verdict,
         oscillatory=is_oscillatory(data.multipliers),
         hypothesis=hypothesis_check(system),
-        residuals=_spectral_residuals(X, system.omega, data, P),
+        residuals={"expm_p_roundtrip": _roundtrip(P, X, system.omega)},
     )

@@ -1,7 +1,7 @@
 """Dense complex matrix kernel: inverses, spectra, expm, principal logm.
 
 Matrices are plain ``numpy.ndarray``s (real or complex, square).  LU-based
-inversion/determinants, the eigensolver and the logarithm of defective
+inversion, the eigensolver and the logarithm of defective
 matrices come from LAPACK via numpy/scipy; the exponential is a stacked
 Taylor kernel shared with the transition layer.  The branch, pivot and
 spectral-order policies that the Floquet normal form relies on live here.
@@ -28,7 +28,6 @@ __all__ = [
     "norm1",
     "inv",
     "solve",
-    "det",
     "eig",
     "expm",
     "logm_principal",
@@ -70,15 +69,11 @@ def _square(M):
 _PIVOT_RTOL = 1e-14
 
 
-def _lu_raw(M):
-    with warnings.catch_warnings():
-        # singularity is handled by the callers, not by scipy's warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(M, check_finite=False)
-
-
 def _lu(M):
-    lu, piv = _lu_raw(M)
+    with warnings.catch_warnings():
+        # singularity is handled below, not by scipy's warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     diag = np.abs(np.diag(lu))
     if diag.min() <= _PIVOT_RTOL * max(norm1(M), 1e-300):
         raise SingularMatrixError(
@@ -108,16 +103,6 @@ def solve(M, B):
         M = M.astype(complex)
     lu, piv = _lu(M)
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-
-
-def det(M):
-    """Determinant from the pivoted LU decomposition."""
-    M = _square(M)
-    lu, piv = _lu_raw(M)
-    d = np.prod(np.diag(lu))
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    sign = -1.0 if swaps % 2 else 1.0
-    return complex(sign * d) if np.iscomplexobj(M) else float((sign * d).real)
 
 
 @dataclass(frozen=True)
@@ -150,6 +135,17 @@ def eig(M) -> Spectrum:
     values, vectors = values[order], vectors[:, order]
     cond = float(np.linalg.cond(vectors))
     return Spectrum(values, vectors, cond if np.isfinite(cond) else np.inf)
+
+
+def _require_invertible(M, spec):
+    """Raise ``SingularMatrixError`` when ``M``, of spectrum ``spec``, has an
+    eigenvalue of modulus at most ``1e-14 max(1, norm1(M))``.  ``M @ M`` is
+    singular exactly when ``M`` is, so the rule is read on ``M`` alone."""
+    smallest = float(np.min(np.abs(spec.eigenvalues)))
+    if smallest <= 1e-14 * max(1.0, norm1(M)):
+        raise SingularMatrixError(
+            f"singular matrix: smallest eigenvalue modulus {smallest:.3e}"
+        )
 
 
 # Taylor coefficients 1/k!, k = 0..15, in Paterson-Stockmeyer blocks:
@@ -223,10 +219,8 @@ def _logm(M, spec, square=False):
     ``rho`` and ``-rho``; otherwise (defective or nearly defective ``M``)
     ``scipy.linalg.logm``, the inverse scaling-and-squaring algorithm of
     Al-Mohy & Higham (2012)."""
+    _require_invertible(M, spec)
     rho = spec.eigenvalues * spec.eigenvalues if square else spec.eigenvalues
-    target = M @ M if square else M
-    if np.min(np.abs(rho)) <= 1e-14 * max(norm1(target), 1.0):
-        raise SingularMatrixError("logarithm of a singular matrix")
     if spec.condition_estimate <= _EIG_COND_SWITCH:
         V = spec.eigenvectors
         # +0.0j on the real axis, so Log(-1) is +i pi, not -i pi
@@ -237,7 +231,7 @@ def _logm(M, spec, square=False):
             "the closed negative real axis"
         )
     else:
-        L = scipy.linalg.logm(target)
+        L = scipy.linalg.logm(M @ M if square else M)
     if not square:
         return L
     residue = float(np.abs(L.imag).max()) if np.iscomplexobj(L) else 0.0

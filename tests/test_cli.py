@@ -484,11 +484,34 @@ def test_sweep_rows_equal_analyze(tmp_path, capsys, monkeypatch, template, param
 
     # Rows skip the invertibility bounds and the residuals of analyze.
     monkeypatch.setattr(idepcag.floquet, "hypothesis_check", never)
-    monkeypatch.setattr(idepcag.floquet, "_spectral_residuals", never)
+    monkeypatch.setattr(idepcag.floquet, "_roundtrip", never)
     assert main(["sweep", path, "--param", param, f"--range={lo!r}:{hi!r}",
                  "--steps", str(steps)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",") for row in rows] == expected
+
+
+def _damped_doc(a="-17"):
+    """Constant triangular 2x2 system with multipliers exp(a) and exp(-1)."""
+    return json.dumps({"n": 2, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+                       "A": [[a, "1"], ["0", "-1"]], "B": [["0", "0"], ["0", "0"]],
+                       "impulses": [[[0, 0], [0, 0]]],
+                       "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9}})
+
+
+def test_strongly_damped_system_has_real_generator(tmp_path, capsys):
+    # exp(-17)^2 is ~1.7e-15, yet X(omega) is invertible, and so is its square.
+    path = _write(tmp_path, "damped.json", _damped_doc())
+    code, report = _analyze_json(capsys, path)
+    assert code == 0
+    assert report["verdict"] == "ExponentiallyStable"
+    assert report["P_real"][0][0][0] == pytest.approx(-17.0, rel=1e-10)
+    assert main(["factorize", path, "--real"]) == 0
+    capsys.readouterr()
+    template = _write(tmp_path, "damped_template.json", _damped_doc("$K"))
+    assert main(["sweep", template, "--param", "K", "--range=-20:-10", "--steps", "11"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 11 and not any("Error:" in row for row in rows)
 
 
 def test_sweep_serial_matches_pooled_output(capsys):

@@ -9,7 +9,6 @@ from idepcag.linalg import (
     ConvergenceError,
     RealificationError,
     SingularMatrixError,
-    det,
     eig,
     expm,
     inv,
@@ -55,13 +54,6 @@ def test_inv_contract_random():
 def test_inv_singular_raises():
     with pytest.raises(SingularMatrixError):
         inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_det_matches_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        M = _random_matrix(rng, int(rng.integers(1, 6)))
-        assert det(M) == pytest.approx(np.linalg.det(M), rel=1e-10)
 
 
 # ---------------------------------------------------------------- spectrum

@@ -280,15 +280,15 @@ def test_verification_checks_read_in_batches(monkeypatch):
                         (transition, "fundamental_matrix"), (transition, "_flow_matrices"),
                         (transition.IntervalOperators, "e_at")):
         monkeypatch.setattr(owner, name, refuse)
-    # Right limits take one read; left limits one more, only where an anchor
-    # sits at its interval's right end, as on generated-3 and not generated-1.
-    for label, batches in (("generated-3", 2), ("generated-1", 1)):
+    # One read for every stencil point and anchor, the left limits of the
+    # anchors at their interval's right end (on generated-3) included.
+    for label in ("generated-3", "generated-1"):
         system = _load(label)
         interval_operators(system)
         for real in (False, True):
             reads.clear()
             verify_normal_form(system, real=real)
-            assert len(reads) == batches and views == [], (label, real)
+            assert len(reads) == 1 and views == [], (label, real)
         structural_residuals(system)
         # The spectral checks read X(omega) from the monodromy product alone.
         assert views == []

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 
 from idepcag import (
     SingularMatrixError,
+    analyze,
     e_matrix,
     fundamental_matrix,
     hypothesis_check,
@@ -286,6 +288,29 @@ def test_hypothesis_scalar_bundled_exceeds_bound(scalar_system):
     report = hypothesis_check(scalar_system)
     assert not report.passed
     assert report.nu_minus_sup == pytest.approx(1.3, abs=1e-9)
+
+
+def test_hypothesis_overflowing_sigma_is_inf_without_warning(caplog, scalar_system):
+    # int |A| = 1000 over the retarded half: exp(1000) overflows a double.
+    system = load_system(json.dumps({
+        "n": 2, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["0", "1000"], ["0", "0"]], "B": [["0", "0"], ["0", "0"]],
+        "impulses": [[[0, 0], [0, 0]]],
+        "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9},
+    }))
+    with warnings.catch_warnings(), caplog.at_level("WARNING", logger="idepcag"):
+        warnings.simplefilter("error")
+        report = hypothesis_check(system)
+        analyze(system)
+    assert math.isinf(report.sigma) and not report.passed
+    assert report.nu_plus_sup == report.nu_minus_sup == 0.0
+    # The log names the bound that failed, and only that one.
+    assert ("invertibility bounds exceeded (sigma = inf); proceeding, anchors are checked "
+            "directly") in [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="idepcag"):
+        hypothesis_check(scalar_system)
+    assert "(nu- = 1.3 >= 1)" in caplog.records[0].getMessage()
 
 
 # ------------------------------------------------- norm quadrature (gk15)
