@@ -39,6 +39,7 @@ from .floquet import (
 )
 from .linalg import NumericalError
 from .model import ValidationError, load_system
+from . import simulate
 from .serialize import canonical_json
 from .simulate import max_discrepancy, solve_cauchy, solve_direct
 
@@ -217,8 +218,9 @@ def _cmd_simulate(args):
 
 def _cmd_factorize(args):
     system = load_system(_read(args.spec))
-    if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
+    # Bounded like a trajectory's records: one n x n Q is kept per sample.
+    if not 1 <= args.samples <= simulate.MAX_RECORDS:
+        raise _UsageError(f"--samples must be between 1 and {simulate.MAX_RECORDS}")
     X = monodromy(system)
     P = floquet_P_real(X, system.omega) if args.real else floquet_P(X, system.omega)
     factor = 2 if args.real else 1

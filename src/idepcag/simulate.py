@@ -11,11 +11,12 @@ the impulse at the right endpoint.
 
 Output grids always include every breakpoint in range with a paired
 left-limit / post-impulse record, so consumers can plot the jumps
-faithfully.  Both solvers fill the same record layout (``_layout``), built
-from the interval plan with array operations.  ``solve_cauchy`` is one
-``W(t, 0) x0`` read of ``floquet._cauchy_many`` at every record time: the
-dense output is read once per distinct local time (periodicity brings the
-same phases back every period), and left limits at their end nodes.
+faithfully.  Both solvers fill the same record layout (``_layout``): one
+sorted merge of the initial row, the samples and the breakpoint pairs.
+``solve_cauchy`` is one ``W(t, 0) x0`` read of ``floquet._cauchy_many`` at
+every record time: the dense output is read once per distinct local time
+(periodicity brings the same phases back every period), and left limits at
+their end nodes.
 ``Trajectory.write_csv`` formats all cells with a vectorized ``%.12e``
 kernel that hands the few cells it cannot prove exact to Python's
 formatter.
@@ -207,29 +208,26 @@ def _initial_state(system, x0):
     return x0
 
 
-def _plan(system, t_end, dt_out):
-    """Interval plan ``(stops, impulse, samples, lo, hi)``, arrays over the
-    intervals ``k = 0..K-1``: interval ``k`` runs from ``stops[k - 1]`` (0
-    for ``k = 0``) to ``stops[k]``, ends with an impulse when
-    ``impulse[k]`` and takes the samples ``samples[lo[k]:hi[k]]``.
+def _layout(system, t_end, dt_out):
+    """Rows ``(times, codes)`` of a trajectory, ``codes`` indexing ``_KINDS``:
+    the initial state, the samples, and a left-limit / post-impulse pair at
+    every breakpoint, as one sorted merge.
 
-    The breakpoints ``t_k`` are ``grid.time_at(k)``.
-    Every interval but the last stops at ``t_{k+1}``, which lies below
-    ``t_end`` and not ``_near`` it; the last stops at the first breakpoint
-    that does not, when that one is ``_near`` ``t_end``, and otherwise at
-    ``t_end`` without an impulse.
+    The breakpoints ``t_k`` are ``grid.time_at(k)``.  A pair is recorded at
+    every one below ``t_end`` and apart from it, and at the next one when
+    that is ``_near`` ``t_end``; otherwise ``t_end`` ends the trajectory
+    as a sample row.  A ``t_end`` ``_near`` 0 leaves only the initial row.
 
     Samples are ``i * dt_out`` for ``i = 1, 2, ...`` up to the first one at
     or ``_near`` ``t_end``, minus those ``_near`` a breakpoint; breakpoints
-    are sorted, so only the two neighbours of a sample can be near it.  Each
-    interval takes the samples strictly between its ends.  None of them is
-    near ``t_stop``: a stop is ``t_end``, a breakpoint up to
-    ``t_end (1 + 1e-15)``, or one further beyond, and a sample near that one
-    would also be near ``t_end``.
+    are sorted, so only the two neighbours of a sample can be near it.  So
+    no sample shares its time with another row: the last row is ``t_end``,
+    a breakpoint up to ``t_end (1 + 1e-15)``, or one further beyond, and a
+    sample near that one would also be near ``t_end``.
     """
     grid = system.grid
     # Up to a period past every breakpoint _near t_end, so the last one
-    # ends the interval search below.
+    # ends the breakpoint search below.
     reach = t_end + 1e-9 * max(1.0, t_end)
     tk = grid.time_at(np.arange(1, (int(reach / grid.omega) + 2) * grid.p + 1))
     breaks = tk[tk <= t_end + 1e-15 * max(1.0, abs(t_end))]
@@ -244,71 +242,18 @@ def _plan(system, t_end, dt_out):
         near = _near_many(samples, breaks[left]) | _near_many(samples, breaks[right])
         samples = samples[~near]
 
+    # The first breakpoint that is not below t_end and apart from it.
+    m = int(np.argmin((tk < t_end) & ~_near_many(tk, t_end)))
     if _near(0.0, t_end):
-        intervals = 0
+        jumps, last = tk[:0], []
+    elif _near(tk[m], t_end):
+        jumps, last = tk[: m + 1], []
     else:
-        # The first breakpoint that is not below t_end and apart from it.
-        intervals = int(np.argmin((tk < t_end) & ~_near_many(tk, t_end))) + 1
-    stops = tk[:intervals].copy()
-    impulse = np.ones(intervals, dtype=bool)
-    if intervals:
-        impulse[-1] = _near(stops[-1], t_end)
-        if not impulse[-1]:
-            stops[-1] = t_end
-    starts = np.concatenate(([0.0], stops))[:-1]
-    lo = np.searchsorted(samples, starts, side="right")
-    hi = np.searchsorted(samples, stops, side="left")
-    return stops, impulse, samples, lo, hi
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Rows of a trajectory and the intervals that fill them.
-
-    Row 0 is the initial state.  Interval ``k`` owns the rows from
-    ``ends[k - 1] + 2`` (1 for ``k = 0``) to its end record ``ends[k]``: its
-    interior samples, then the state at ``stops[k]`` (its left limit when
-    ``impulse[k]``), then the post-impulse row ``ends[k] + 1`` when
-    ``impulse[k]``.  Only the last interval can end without an impulse.
-    ``codes`` indexes ``_KINDS`` per row.
-    """
-
-    times: np.ndarray
-    codes: np.ndarray
-    stops: np.ndarray
-    impulse: np.ndarray
-    ends: np.ndarray
-
-    @property
-    def kinds(self):
-        return tuple(_KINDS[self.codes])
-
-    @property
-    def starts(self):
-        return np.concatenate(([0.0], self.stops))[:-1]
-
-    @property
-    def firsts(self):
-        """First row of every interval."""
-        return np.concatenate(([1], self.ends + 2))[:-1]
-
-
-def _layout(system, t_end, dt_out):
-    stops, impulse, samples, lo, hi = _plan(system, t_end, dt_out)
-    inside = hi - lo
-    ends = np.cumsum(inside + 1 + impulse) - impulse
-    rows = 1 + int(ends[-1]) + int(impulse[-1]) if stops.size else 1
-    owner = np.repeat(np.arange(stops.size), inside)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(inside) - inside, inside)
-    times = np.zeros(rows)
-    times[ends[owner] - inside[owner] + offset] = samples[lo[owner] + offset]
-    times[ends] = stops
-    posts = ends[impulse] + 1
-    times[posts] = stops[impulse]
-    codes = np.zeros(rows, dtype=np.intp)
-    codes[ends[impulse]] = 1
-    codes[posts] = 2
-    return _Layout(times, codes, stops, impulse, ends)
+        jumps, last = tk[:m], [t_end]
+    times = np.concatenate(([0.0], samples, last, jumps, jumps))
+    codes = np.repeat([0, 1, 2], [times.size - 2 * jumps.size, jumps.size, jumps.size])
+    order = np.lexsort((codes, times))
+    return times[order], codes[order]
 
 
 def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Trajectory:
@@ -317,10 +262,10 @@ def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
     left-limit records."""
     _check_span(system, t_end, dt_out)
     x0 = _initial_state(system, x0)
-    layout = _layout(system, t_end, dt_out)
-    states = _cauchy_many(system, layout.times, layout.codes == 1, x0[:, None])[..., 0]
+    times, codes = _layout(system, t_end, dt_out)
+    states = _cauchy_many(system, times, codes == 1, x0[:, None])[..., 0]
     states[0] = x0
-    return Trajectory(layout.times, layout.kinds, states, "cauchy", t_end, dt_out)
+    return Trajectory(times, tuple(_KINDS[codes]), states, "cauchy", t_end, dt_out)
 
 
 def _direct_anchor_value(system, k, x_k):
@@ -365,12 +310,16 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
     """Independent trajectory oracle via per-interval direct integration."""
     _check_span(system, t_end, dt_out)
     x0 = _initial_state(system, x0)
-    layout = _layout(system, t_end, dt_out)
-    states = np.empty((len(layout.times), system.n), dtype=complex)
+    times, codes = _layout(system, t_end, dt_out)
+    states = np.empty((times.size, system.n), dtype=complex)
     states[0] = x_k = x0
-    bounds = zip(layout.starts.tolist(), layout.stops.tolist(), layout.firsts.tolist(),
-                 layout.ends.tolist(), layout.impulse.tolist())
-    for k, (t_start, t_stop, first, end, has_impulse) in enumerate(bounds):
+    # Interval k ends at its left-limit row; the last may end at t_end on a
+    # sample row.  Its rows run from just after the previous interval's.
+    ends = np.flatnonzero(codes == 1)
+    if codes[-1] == 0 and times.size > 1:
+        ends = np.append(ends, times.size - 1)
+    first = 1
+    for k, end in enumerate(ends.tolist()):
         forcing_anchor = _direct_anchor_value(system, k, x_k).copy()
 
         def rhs(u, y):
@@ -378,7 +327,7 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
 
         sol = solve_ivp(
             rhs,
-            (t_start, t_stop),
+            (times[first - 1], times[end]),
             x_k,
             method="DOP853",
             rtol=system.tolerances.ode_rel,
@@ -388,11 +337,12 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
         if not sol.success:
             raise NumericalError(f"interval integration failed: {sol.message}")
         for row in range(first, end):
-            states[row] = sol.sol(layout.times[row])
+            states[row] = sol.sol(times[row])
         states[end] = sol.y[:, -1]
-        if has_impulse:
+        if codes[end] == 1:
             x_k = states[end + 1] = system.impulse_factor(k + 1) @ states[end]
-    return Trajectory(layout.times, layout.kinds, states, "direct", t_end, dt_out)
+        first = end + 2
+    return Trajectory(times, tuple(_KINDS[codes]), states, "direct", t_end, dt_out)
 
 
 def max_discrepancy(a: Trajectory, b: Trajectory) -> float:

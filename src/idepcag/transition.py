@@ -276,7 +276,6 @@ class IntervalOperators:
     ``zeta`` a full step from one node reproduces the next to roundoff.
     """
 
-    index: int
     t_left: float
     t_right: float
     zeta: float
@@ -364,7 +363,6 @@ def _build_intervals(system):
                     f"not invertible (|det| = {det:.3e})"
                 )
         ops.append(IntervalOperators(
-            index=j,
             t_left=t_left,
             t_right=t_right,
             zeta=zeta,

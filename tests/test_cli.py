@@ -310,6 +310,16 @@ def test_factorize_real_two_periodic(capsys):
     assert out["residuals"]["expm_roundtrip"] <= 1e-14
 
 
+def test_factorize_samples_past_record_limit_rejected(monkeypatch, capsys):
+    monkeypatch.setattr(idepcag.simulate, "MAX_RECORDS", 16)
+    assert main(["factorize", _spec("sin_impulse"), "--samples", "16"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["q_samples"]["times"]) == 16
+    for samples in ("17", "0"):
+        assert main(["factorize", _spec("sin_impulse"), "--samples", samples]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --samples must be between 1 and 16\n"
+
+
 def test_factorize_csv_output(capsys):
     code = main(["factorize", _spec("sin_impulse"), "--samples", "5",
                  "--format", "csv"])

@@ -21,7 +21,7 @@ from idepcag import (
 )
 from idepcag import simulate
 from idepcag.model import ArgumentGrid
-from idepcag.simulate import Trajectory, _near, _plan
+from idepcag.simulate import Trajectory, _layout, _near
 from conftest import count_partial_steps, sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -223,6 +223,16 @@ def test_horizon_past_record_limit_rejected(scalar_system, monkeypatch):
             solver(scalar_system, [1.0], 4.0, 0.25)
 
 
+def test_horizon_near_zero_is_the_initial_row(scalar_system):
+    # t_end = 1e-10 is _near 0 and every sample is _near t_end: no interval
+    # runs, and the trajectory is its t = 0 sample.
+    for solver in (solve_cauchy, solve_direct):
+        traj = solver(scalar_system, [6.0], 1e-10, 1e-11)
+        assert traj.times.tolist() == [0.0]
+        assert traj.kinds == ("sample",)
+        assert traj.states.tolist() == [[6.0]]
+
+
 # ------------------------------------------------- references for the batch
 
 
@@ -354,13 +364,14 @@ def _plan_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_plan_cases())
-def test_plan_matches_quadratic_reference(case):
+def test_layout_matches_quadratic_reference(case):
     system, t_end, dt_out = case
-    stops, impulse, samples, lo, hi = _plan(system, t_end, dt_out)
-    starts = [0.0] + stops.tolist()[:-1]
-    got = [(k, a, b, samples[l:h].tolist(), f) for k, (a, b, f, l, h)
-           in enumerate(zip(starts, stops.tolist(), impulse.tolist(), lo, hi))]
-    assert got == _reference_plan(system, t_end, dt_out)
+    rows = [(0.0, 0)]
+    for _, _, t_stop, inside, has_impulse in _reference_plan(system, t_end, dt_out):
+        rows += [(t, 0) for t in inside]
+        rows += [(t_stop, 1), (t_stop, 2)] if has_impulse else [(t_stop, 0)]
+    times, codes = _layout(system, t_end, dt_out)
+    assert list(zip(times.tolist(), codes.tolist())) == rows
 
 
 ADVANCED_N3_P2_DOC = json.dumps({
