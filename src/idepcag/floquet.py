@@ -35,7 +35,8 @@ from .linalg import (
     norm1,
 )
 from .model import SystemSpec
-from .transition import (HypothesisReport, _branch_ends, _fresh_flows, _magnus_pass, _phi_j_e,
+from .transition import (HypothesisReport, _branch_ends, _fresh_flows, _magnus_pass,
+                         _monodromy_from_ends, _phi_j_e,
                          hypothesis_check, interval_operators)
 
 __all__ = [
@@ -173,12 +174,7 @@ def _refined_monodromy(system):
             top[on] = _magnus_pass(system.A, system.B, zeta[on], end[on], 2 * N)[:, -1, :n]
     if not np.isfinite(top).all():
         return np.full((n, n), np.inf)
-    E = dict(zip(ends, _phi_j_e(top, n)[2]))
-    X = np.eye(n)
-    for j in range(system.p):
-        E_left, E_right = (E.get((j, t), np.eye(n)) for t in grid.times[j:j + 2])
-        X = system.impulse_factor(j + 1) @ (E_right @ np.linalg.inv(E_left)) @ X
-    return X
+    return _monodromy_from_ends(system, ends, _phi_j_e(top, n)[2])
 
 
 @dataclass(frozen=True)

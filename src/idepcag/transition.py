@@ -29,7 +29,10 @@ exponential (Van Loan, IEEE TAC 1978), so they agree at the first comparison.
 
 An interval is integrated once, from its argument value ``zeta_k`` to both
 ends, and its node values are cached; monodromy assembly integrates every
-branch of the period in one batch.  Dense output at ``t`` is one partial
+branch of the period in one batch.  The branches' accepted error estimates
+are carried through the assembly of ``X(omega)``, and the batch is repeated
+at a tighter tolerance while they move ``X`` by more than ``ode_abs + ode_rel
+max|X|`` (``_build_intervals``).  Dense output at ``t`` is one partial
 Magnus step from the node at or left of ``t``, batched over the distinct
 query times.  The norm integrals of the invertibility diagnostics use a batched
 adaptive Gauss-Kronrod 7-15 rule: one vectorized evaluation of the
@@ -144,19 +147,20 @@ def _magnus_pass(A, B, t0, t1, N):
     return U
 
 
-def _magnus(A, B, tol, t0, t1):
+def _magnus(A, B, tol, t0, t1, scale=1.0):
     """Fixed-step Magnus integration of ``[[A, B], [0, 0]]`` over every
-    segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U)``, with
-    ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass.
+    segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U, err)``,
+    with ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass and
+    ``err`` the estimate of ``U[-1]``'s error that accepted it.
 
     Each segment compares its last pass of ``N`` steps with a pass of
     ``M = r N`` steps on the nodes of the first; its error measure is the
-    largest node gap over ``ode_abs + ode_rel max|U|`` (``ode_rel`` floored
-    at ``_RTOL_FLOOR``).  While the gaps do not yet fall at the sixth-order
-    rate, the ``M`` pass is accepted when that measure is at most 1, and
-    ``M`` doubles otherwise.  Once the ratio of a segment's last two gaps is
-    at least half the ratio that rate gives for its two step ratios (32 for
-    two doublings), the error of the ``M`` pass is about the gap over
+    largest node gap over ``scale (ode_abs + ode_rel max|U|)`` (``scale
+    ode_rel`` floored at ``_RTOL_FLOOR``).  While the gaps do not yet fall
+    at the sixth-order rate, the ``M`` pass is accepted when that measure is
+    at most 1, and ``M`` doubles otherwise.  Once the ratio of a segment's
+    last two gaps is at least half the ratio that rate gives for its two
+    step ratios (32 for two doublings), the error of the ``M`` pass is about the gap over
     ``r^6 - 1`` (Richardson; Hairer, Norsett & Wanner, *Solving ODEs I*,
     §II.4): the pass is accepted when ``_SAFETY`` times that estimate meets
     the tolerance, and otherwise the next ``M`` is the one the estimate
@@ -168,7 +172,7 @@ def _magnus(A, B, tol, t0, t1):
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    rtol = max(tol.ode_rel, _RTOL_FLOOR)
+    atol, rtol = scale * tol.ode_abs, max(scale * tol.ode_rel, _RTOL_FLOOR)
     size = t0.size
     result = [None] * size
     # Per segment: the steps of its next pass, and the error measure and
@@ -196,15 +200,15 @@ def _magnus(A, B, tol, t0, t1):
                 r = M // N
                 on_nodes = fine[:, ::r]
                 gap = np.abs(on_nodes - np.stack([last[i] for i in seg])).max(axis=(2, 3))
-                bound = tol.ode_abs + rtol * np.abs(on_nodes).max(axis=(2, 3))
+                bound = atol + rtol * np.abs(on_nodes).max(axis=(2, 3))
                 for i, U, worst, node_gap in zip(seg, fine, (gap / bound).max(axis=1).tolist(),
                                                  gap.max(axis=1).tolist()):
                     # The rate shows when the measure fell by at least half
                     # of (r_before^6 - 1) / (1 - r^-6); NaN compares false.
                     rate = excess[i] >= 0.5 * (ratio[i] ** 6 - 1.0) / (1.0 - r**-6.0) * worst
-                    estimate = worst * _SAFETY / (r**6 - 1.0) if rate else worst
-                    if estimate <= 1.0:
-                        result[i] = ((t1[i] - t0[i]) / M, U)
+                    factor = _SAFETY / (r**6 - 1.0) if rate else 1.0
+                    if worst * factor <= 1.0:
+                        result[i] = ((t1[i] - t0[i]) / M, U, factor * (last[i][-1] - U[-1]))
                         continue
                     if M >= _N_MAX:
                         raise NumericalError(
@@ -215,7 +219,7 @@ def _magnus(A, B, tol, t0, t1):
                     if rate:
                         # The estimate falls as M^-6: the least power of two
                         # that brings it to 1.
-                        wanted = min(M * estimate ** (1.0 / 6.0), _N_MAX)
+                        wanted = min(M * (worst * factor) ** (1.0 / 6.0), _N_MAX)
                         steps[i] = max(2 * M, 2 ** math.ceil(math.log2(wanted)))
                     excess[i], ratio[i], last[i] = worst, r, U
             live = [i for i in live if result[i] is None]
@@ -226,7 +230,7 @@ def _fresh_flows(system, s, t):
     """``U(t_i, s_i)`` for every pair of ``s`` and ``t``, stacked, from one
     fresh batched integration.  Each segment closes on its own, so its value
     does not depend on the others; a zero-length segment gives exactly ``I``."""
-    return np.stack([U[-1] for _, U in _magnus(system.A, system.B, system.tolerances, s, t)])
+    return np.stack([U[-1] for _, U, _ in _magnus(system.A, system.B, system.tolerances, s, t)])
 
 
 def fundamental_matrix(system: SystemSpec, s: float, t: float) -> np.ndarray:
@@ -330,26 +334,62 @@ def _branch_ends(grid):
             for end in grid.times[j:j + 2] if end != zeta]
 
 
+def _monodromy_from_ends(system, ends, E):
+    """``X(omega)`` assembled from ``E[i] = E(end, zeta_k)`` of the branches
+    ``ends[i] = (k, end)``, one impulse and ``E_right E_left^-1`` per base
+    interval; further leading axes of ``E`` are carried through."""
+    n, grid = system.n, system.grid
+    E = dict(zip(ends, E))
+    X = np.eye(n)
+    for j in range(system.p):
+        E_left, E_right = (E.get((j, t), np.eye(n)) for t in grid.times[j:j + 2])
+        X = system.impulse_factor(j + 1) @ (E_right @ np.linalg.inv(E_left)) @ X
+    return X
+
+
 def _build_intervals(system):
     """``IntervalOperators`` of every base interval, from one batched Magnus
-    integration of all branches ``[zeta_k, t_{k+1}]`` and ``[zeta_k, t_k]``."""
-    grid = system.grid
-    n = system.n
+    integration of all branches ``[zeta_k, t_{k+1}]`` and ``[zeta_k, t_k]``.
+
+    Each branch meets the tolerance at its own nodes, but ``X(omega)``
+    multiplies the branch ends and inverts the left ones, which can scale
+    their errors up by the conditioning of ``E(t_k, zeta_k)``.  So the
+    branches' accepted error estimates are carried through the assembly of
+    ``X(omega)``; while that moves ``X`` by more than ``ode_abs + ode_rel
+    max|X|``, the integration is repeated with every branch's tolerance
+    scaled down by twice the excess (``ode_rel`` no lower than
+    ``_RTOL_FLOOR``)."""
+    grid, n, tol = system.grid, system.n, system.tolerances
     ends = _branch_ends(grid)
-    flows = _magnus(system.A, system.B, system.tolerances,
-                    [grid.args[j] for j, _ in ends], [end for _, end in ends])
-    branches = dict(zip(ends, flows))
+    zeta, end = [grid.args[j] for j, _ in ends], [end for _, end in ends]
+    scale = 1.0
+    while True:
+        flows = _magnus(system.A, system.B, tol, zeta, end, scale)
+        ops = _operators_from_branches(system, dict(zip(ends, flows)))
+        top = np.stack([(U[-1, :n], U[-1, :n] + err[:n]) for _, U, err in flows])
+        X, moved = _monodromy_from_ends(system, ends, top[..., :n] + top[..., n:])
+        excess = np.abs(moved - X).max() / (tol.ode_abs + tol.ode_rel * np.abs(X).max())
+        # NaN compares false, so a non-finite estimate ends the loop too.
+        if not (excess > 1.0 and scale * tol.ode_rel > _RTOL_FLOOR):
+            return ops
+        scale /= 2.0 * excess
+
+
+def _operators_from_branches(system, branches):
+    """``IntervalOperators`` of every base interval from the Magnus results
+    ``branches[(k, end)] = (h, U, err)`` of its non-empty branches."""
+    grid, n = system.grid, system.n
     ops = []
     for j in range(system.p):
         t_left, t_right, zeta = grid.times[j], grid.times[j + 1], grid.args[j]
         times, nodes = [np.array([zeta])], [np.eye(2 * n)[None]]
         left, right = branches.get((j, t_left)), branches.get((j, t_right))
         if left is not None:
-            h, U = left
+            h, U, _ = left
             times.insert(0, zeta + h * np.arange(len(U) - 1, 0, -1))
             nodes.insert(0, U[:0:-1])
         if right is not None:
-            h, U = right
+            h, U, _ = right
             times.append(zeta + h * np.arange(1, len(U)))
             nodes.append(U[1:])
         times, nodes = np.concatenate(times), np.concatenate(nodes)
