@@ -20,12 +20,11 @@ import io
 import logging
 import math
 import os
-import re
 import sys
 
 import numpy as np
 
-from .expressions import ExpressionSyntaxError
+from .expressions import ExpressionSyntaxError, param_token
 from .floquet import (
     _q_many,
     _spectral_core,
@@ -38,16 +37,21 @@ from .floquet import (
     verify_normal_form,
 )
 from .linalg import NumericalError
-from .model import ValidationError, load_system
+from .model import Template, ValidationError, load_system
 from . import simulate
 from .serialize import canonical_json
 from .simulate import max_discrepancy, solve_cauchy, solve_direct
+from .transition import build_operators
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_STRICT_H = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+
+# Sweep rows loaded and integrated in one batch: a batch's arrays grow with
+# its rows, so blocks of this many keep the memory of a long sweep flat.
+SWEEP_BLOCK = 16
 
 log = logging.getLogger("idepcag")
 
@@ -155,12 +159,20 @@ def _build_parser():
     p_ver.add_argument("--out", default=None)
     p_ver.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    p_sw = sub.add_parser("sweep", help="parameter sweep over a template document")
+    p_sw = sub.add_parser(
+        "sweep", help="parameter sweep over a template document",
+        description="One CSV row per value of the parameter, equal bit for bit to analyze of "
+                    "the template with the value's %.17g text in place of $N.  Where $N "
+                    "appears only in expressions of A and B, as an atom and outside any "
+                    "power's base, the template parses once with $N as a variable; "
+                    "otherwise each value loads its own document.  Rows that share the parse "
+                    f"integrate together, {SWEEP_BLOCK} at a time.")
     p_sw.add_argument("template")
     p_sw.add_argument("--param", required=True,
                       help="name N substituted for the token $N in the template")
     p_sw.add_argument("--range", required=True, metavar="LO:HI")
-    p_sw.add_argument("--steps", type=int, required=True)
+    p_sw.add_argument("--steps", type=int, required=True,
+                      help=f"number of values, 1 to {simulate.MAX_RECORDS}")
     p_sw.add_argument("--out", default=None)
     p_sw.add_argument("--format", choices=["csv"], default="csv")
     return parser
@@ -312,12 +324,15 @@ def _parse_range(text):
     return lo, hi
 
 
-def _sweep_row(template, token, value):
-    doc = token.sub(f"{value:.17g}", template)
+def _sweep_row(value, system):
+    """The CSV row of ``value``: ``system`` is its system, or the error its
+    load or operator build raised."""
     try:
+        if isinstance(system, Exception):
+            raise system
         # The spectral core of analyze: its columns and all of its failures,
         # without the invertibility bounds and residuals no column prints.
-        _, data, verdict, _, _ = _spectral_core(load_system(doc))
+        _, data, verdict, _, _ = _spectral_core(system)
     except (ValidationError, ExpressionSyntaxError, NumericalError) as exc:
         reason = str(exc).splitlines()[0].replace(",", ";")
         return f"{value:.12e},,,Error: {reason},"
@@ -328,18 +343,25 @@ def _sweep_row(template, token, value):
 
 
 def _cmd_sweep(args):
-    template = _read(args.template)
-    # $NAME as a whole token: $A is not the start of $AC.
-    token = re.compile(re.escape(f"${args.param}") + r"(?![A-Za-z0-9_])")
-    if not token.search(template):
+    text = _read(args.template)
+    token = param_token(args.param)
+    if not token.search(text):
         raise _UsageError(f"template does not mention ${args.param}")
-    if args.steps < 1:
-        raise _UsageError("--steps must be at least 1")
+    # Bounded like a trajectory's records, before linspace allocates them.
+    if not 1 <= args.steps <= simulate.MAX_RECORDS:
+        raise _UsageError(f"--steps must be between 1 and {simulate.MAX_RECORDS}")
     lo, hi = _parse_range(args.range)
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
-    rows = [_sweep_row(template, token, v) for v in values]
-    header = "value,multipliers,lyapunov,verdict,oscillatory"
-    _write_out("\n".join([header] + rows) + "\n", args.out)
+    template = Template(text, token)
+    rows = ["value,multipliers,lyapunov,verdict,oscillatory"]
+    for start in range(0, values.size, SWEEP_BLOCK):
+        block = values[start:start + SWEEP_BLOCK]
+        systems = template.load(block)
+        loaded = [i for i, system in enumerate(systems) if not isinstance(system, Exception)]
+        for i, error in zip(loaded, build_operators([systems[i] for i in loaded])):
+            systems[i] = error or systems[i]
+        rows += [_sweep_row(value, system) for value, system in zip(block, systems)]
+    _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
 

@@ -2,9 +2,11 @@
 
 Coefficient entries of the system matrices are written as small formulas in
 one variable ``t``: numbers, ``pi``, ``+ - *``, integer powers ``^``, and the
-functions ``sin``, ``cos``, ``exp``.  The grammar deliberately has no
-division and no user-defined functions, so every expression is defined for
-every finite ``t`` and numeric periodicity certificates are meaningful.
+functions ``sin``, ``cos``, ``exp``.  A sweep template may also name its
+parameter (``$EPS``), which parses as a second variable ``p`` (``Param``).
+The grammar deliberately has no division and no user-defined functions, so
+every expression is defined for every finite ``t`` and numeric periodicity
+certificates are meaningful.
 Literals must be finite; values that overflow (``exp(1000)``) are left to
 the load-time certificate, which rejects non-finite samples.
 
@@ -13,22 +15,27 @@ arrays broadcast elementwise.  ``to_source`` turns a parsed tree into Python
 source with the same operations in the same order, and ``compile_lambda``
 compiles such source against the numpy functions the tree itself calls, so
 a compiled expression is bitwise equal to ``Expression.evaluate``.  Only
-emitted source is compiled, never the user's text.
+emitted source is compiled, never the user's text.  Compiled source is a
+function of ``t`` and ``p``, so one compilation of a template serves every
+value of its parameter.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 __all__ = [
     "Expression",
     "ExpressionSyntaxError",
+    "Param",
     "SOURCE_NAMES",
+    "binder",
     "compile_lambda",
+    "param_token",
     "parse_expression",
     "to_source",
 ]
@@ -99,6 +106,24 @@ class Var(Expression):
 
     def _format(self, parent_prec, python=False):
         return "t"
+
+
+@dataclass(frozen=True)
+class Param(Expression):
+    """A sweep template's parameter, written ``name`` (``$EPS``): the second
+    variable ``p`` of compiled source.  It has no value of its own;
+    ``binder`` puts one in."""
+
+    name: str
+
+    def evaluate(self, t):
+        raise ValueError(f"the parameter {self.name} has no value")
+
+    def is_constant(self):
+        return False
+
+    def _format(self, parent_prec, python=False):
+        return "p" if python else self.name
 
 
 @dataclass(frozen=True)
@@ -206,7 +231,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text):
+def param_token(name):
+    """The regex of the parameter token ``$name``, whole: ``$A`` is not the
+    start of ``$AC``."""
+    return re.compile(re.escape(f"${name}") + r"(?![A-Za-z0-9_])")
+
+
+def _tokenize(text, token=None):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -215,9 +246,13 @@ def _tokenize(text):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ExpressionSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
+            start = len(text) - len(stripped)
+            found = token.match(text, start) if token else None
+            if found is None:
+                raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", start)
+            tokens.append(("param", found.group(), start))
+            pos = found.end()
+            continue
         if match.lastgroup == "num":
             tokens.append(("num", match.group("num"), match.start("num")))
         elif match.lastgroup == "name":
@@ -235,6 +270,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.params = 0  # Param atoms read so far
 
     def peek(self):
         return self.tokens[self.index]
@@ -289,9 +325,15 @@ class _Parser:
         return self.power()
 
     def power(self):
+        params = self.params
         base = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
+            # A value's literal parses apart from p in a power's base (-0.5^2
+            # is -(0.5^2)), and Python rounds a power of a literal apart from
+            # numpy's power of an array of p, by up to one ulp.
+            if self.params > params:
+                raise ExpressionSyntaxError("the parameter cannot be in a power base", pos)
             self.advance()
             kind, value, pos = self.peek()
             if kind != "num":
@@ -312,6 +354,9 @@ class _Parser:
 
     def atom(self):
         kind, value, pos = self.advance()
+        if kind == "param":
+            self.params += 1
+            return Param(value)
         if kind == "num":
             number = float(value)
             if not math.isfinite(number):
@@ -337,13 +382,16 @@ class _Parser:
         )
 
 
-def parse_expression(text: str) -> Expression:
+def parse_expression(text: str, token=None) -> Expression:
     """Parse ``text`` into an expression tree.
 
     Parameters
     ----------
     text : str
         Formula in ``t``; see the module docstring for the grammar.
+    token : re.Pattern, optional
+        The parameter token (``param_token``), whose matches parse as
+        ``Param``.  A power with the parameter in its base is refused.
 
     Returns
     -------
@@ -357,19 +405,19 @@ def parse_expression(text: str) -> Expression:
         position.
     """
     try:
-        return _Parser(_tokenize(text)).parse()
+        return _Parser(_tokenize(text, token)).parse()
     except RecursionError:
         raise ExpressionSyntaxError("expression nested too deeply", 0) from None
 
 
 def to_source(expr: Expression) -> str:
-    """Python source of ``expr`` in the variable ``t``.
+    """Python source of ``expr`` in the variables ``t`` and ``p`` (``Param``).
 
     The source keeps the tree's operations and operand order (Python's
     ``+ - *`` associate left and ``**`` binds tighter than unary minus, as in
     the grammar), so evaluating it with ``SOURCE_NAMES`` bound performs the
     same floating-point operations as ``expr.evaluate``.  It contains only
-    float ``repr``s, ``t``, parentheses, ``+ - * **`` with integer-literal
+    float ``repr``s, ``t``, ``p``, parentheses, ``+ - * **`` with integer-literal
     exponents and calls of ``_sin``, ``_cos``, ``_exp``.
 
     Raises
@@ -386,7 +434,21 @@ SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
 
 
 def compile_lambda(body: str):
-    """Compile ``lambda t: <body>``, with ``body`` assembled from
+    """Compile ``lambda t, p: <body>``, with ``body`` assembled from
     ``to_source`` output, against ``SOURCE_NAMES`` and no builtins."""
-    code = compile(f"lambda t: {body}", "<idepcag expression>", "eval")
+    code = compile(f"lambda t, p: {body}", "<idepcag expression>", "eval")
     return eval(code, {"__builtins__": {}, **SOURCE_NAMES})
+
+
+def binder(expr: Expression):
+    """``v -> expr`` with every ``Param`` replaced by ``Const(v)``, or None
+    when ``expr`` holds no ``Param``.  The walk is done once, so a call
+    rebuilds only the nodes on the paths to the parameter."""
+    if isinstance(expr, Param):
+        return lambda v: Const(float(v))
+    kids = [(f.name, binder(getattr(expr, f.name))) for f in fields(expr)
+            if isinstance(getattr(expr, f.name), Expression)]
+    kids = [(name, bind) for name, bind in kids if bind is not None]
+    if not kids:
+        return None
+    return lambda v: replace(expr, **{name: bind(v) for name, bind in kids})

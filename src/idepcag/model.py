@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expressions import ExpressionSyntaxError, compile_lambda, parse_expression, to_source
+from .expressions import ExpressionSyntaxError, binder, compile_lambda, parse_expression, to_source
 
 __all__ = [
     "ValidationError",
@@ -34,6 +34,7 @@ __all__ = [
     "gamma_at",
     "load_system",
     "load_system_file",
+    "Template",
     "bundled_system_path",
     "load_bundled_system",
     "BUNDLED_SYSTEMS",
@@ -75,31 +76,40 @@ class MatrixFunction:
     """n x n matrix of scalar expressions with a declared period.
 
     The entries are compiled once, at construction, into one Python
-    function of ``t`` that returns the rows as nested tuples (see
-    ``expressions.to_source``).  It performs the tree's own operations, so
-    ``eval`` is bitwise equal to evaluating ``entries`` one by one.
-    ``_eval_many`` runs the same function on an array of times; per point
-    it is bitwise equal too, except that numpy may round an integer power
-    of an array differently from a scalar one, by at most one ulp.
+    function of ``t`` and the parameter ``p`` of a sweep template that
+    returns the rows as nested tuples (see ``expressions.to_source``).  It
+    performs the tree's own operations, so ``eval`` is bitwise equal to
+    evaluating ``entries`` one by one.  ``_eval_many`` runs the same
+    function on an array of times; per point it is bitwise equal too,
+    except that numpy may round an integer power of an array differently
+    from a scalar one, by at most one ulp.
+
+    ``param`` is the value of ``p`` the function evaluates at; an array of
+    values broadcasts against the times of ``_eval_many``.  The systems of a
+    ``Template`` pass in the template's compiled function (``_rows``) and
+    hold its entries with ``p`` bound to their value; no power has ``p`` in
+    its base, so the two agree bit for bit.
     """
 
     n: int
     entries: tuple  # tuple of tuples of Expression
     period: float
-    _rows: object = field(init=False, repr=False, compare=False)
+    param: float = 0.0
+    _rows: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", compile_lambda(_matrix_source(self.entries)))
+        if self._rows is None:
+            object.__setattr__(self, "_rows", compile_lambda(_matrix_source(self.entries)))
 
     def __reduce__(self):
         # The compiled function is rebuilt from the entries on unpickling.
-        return (MatrixFunction, (self.n, self.entries, self.period))
+        return (MatrixFunction, (self.n, self.entries, self.period, self.param))
 
     def __call__(self, t):
         return self.eval(t)
 
     def eval(self, t: float) -> np.ndarray:
-        return np.array(self._rows(t), dtype=float)
+        return np.array(self._rows(t, self.param), dtype=float)
 
     def is_diagonal(self) -> bool:
         """True when every off-diagonal entry is structurally constant zero."""
@@ -110,10 +120,14 @@ class MatrixFunction:
         return True
 
     def _eval_many(self, ts):
-        """Entries at every time of the array ``ts``, shape ``(n, n) + ts.shape``;
+        """Entries at every time of the array ``ts``, shape ``(n, n) + ts.shape``
+        (for an array ``param``, ``(n, n)`` plus the broadcast shape of both);
         constant entries broadcast."""
-        out = np.empty((self.n, self.n) + ts.shape)
-        for i, row in enumerate(self._rows(ts)):
+        shape = ts.shape
+        if isinstance(self.param, np.ndarray):
+            shape = np.broadcast_shapes(shape, self.param.shape)
+        out = np.empty((self.n, self.n) + shape)
+        for i, row in enumerate(self._rows(ts, self.param)):
             for j, value in enumerate(row):
                 out[i, j] = value
         return out
@@ -121,20 +135,46 @@ class MatrixFunction:
     def periodicity_defect(self, samples: int = _PERIODICITY_SAMPLES) -> float:
         """Max entrywise |eval(t + period) - eval(t)| over deterministic
         samples; ``inf`` if any sampled value is not finite."""
-        rng = np.random.default_rng(20240801)
-        ts = rng.uniform(0.0, self.period, size=samples)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                now = self._eval_many(ts)
-                later = self._eval_many(ts + self.period)
-            except OverflowError:  # a power of Python floats, where numpy gives inf
-                return math.inf
-        if not (np.isfinite(now).all() and np.isfinite(later).all()):
-            return math.inf
-        return float(np.abs(later - now).max(initial=0.0))
+        return float(_defects(self, samples=samples)[0])
 
 
-def _matrix_function(raw, n, period, path):
+def _defects(mf, params=None, samples=_PERIODICITY_SAMPLES):
+    """``MatrixFunction.periodicity_defect`` of ``mf`` at every value of the
+    array ``params`` of its parameter, from one evaluation (at its own value
+    when ``params`` is None)."""
+    rng = np.random.default_rng(20240801)
+    ts = rng.uniform(0.0, mf.period, size=samples)
+    if params is not None:
+        mf = replace(mf, param=np.asarray(params, dtype=float)[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            now = mf._eval_many(ts).reshape(mf.n, mf.n, -1, samples)
+            later = mf._eval_many(ts + mf.period).reshape(now.shape)
+        except OverflowError:  # a power of Python floats, where numpy gives inf
+            return np.full(1 if params is None else len(params), math.inf)
+        gap = np.abs(later - now).max(axis=(0, 1, 3), initial=0.0)
+    # A non-finite sample makes its gap inf or NaN.
+    return np.where(np.isfinite(gap), gap, math.inf)
+
+
+def _certificate_error(defect, path):
+    """The ValidationError of a periodicity ``defect`` over the certificate's
+    bound, or None."""
+    if defect == math.inf:
+        return ValidationError("coefficients are not finite at every sampled time", path)
+    if defect > _PERIODICITY_ATOL:
+        return ValidationError(
+            f"periodicity certificate failed: max |M(t+omega) - M(t)| = {defect:.3e} "
+            f"> {_PERIODICITY_ATOL:.0e}",
+            path,
+        )
+    return None
+
+
+def _matrix_function(raw, n, period, path, token=None):
+    """The compiled ``MatrixFunction`` of the expression strings ``raw``, in
+    which matches of the parameter ``token`` parse as ``Param``; certified by
+    ``_Family.systems``."""
     if not (isinstance(raw, list) and len(raw) == n):
         raise ValidationError(f"expected {n} rows of expression strings", path)
     rows = []
@@ -146,24 +186,14 @@ def _matrix_function(raw, n, period, path):
             if not isinstance(text, str):
                 raise ValidationError("expected an expression string", f"{path}[{i}][{j}]")
             try:
-                row.append(parse_expression(text))
+                row.append(parse_expression(text, token))
             except ExpressionSyntaxError as exc:
                 raise ValidationError(str(exc), f"{path}[{i}][{j}]") from exc
         rows.append(tuple(row))
     try:
-        mf = MatrixFunction(n, tuple(rows), period)
+        return MatrixFunction(n, tuple(rows), period)
     except (RecursionError, SyntaxError) as exc:
         raise ValidationError("expressions nested too deeply to compile", path) from exc
-    defect = mf.periodicity_defect()
-    if defect == math.inf:
-        raise ValidationError("coefficients are not finite at every sampled time", path)
-    if defect > _PERIODICITY_ATOL:
-        raise ValidationError(
-            f"periodicity certificate failed: max |M(t+omega) - M(t)| = {defect:.3e} "
-            f"> {_PERIODICITY_ATOL:.0e}",
-            path,
-        )
-    return mf
 
 
 @dataclass(frozen=True)
@@ -302,30 +332,10 @@ def _require(doc, key, kind, path=""):
     return value
 
 
-def load_system(text: str) -> SystemSpec:
-    """Parse and validate a JSON system document.
-
-    See the README for the schema: fields ``n``, ``omega``, ``p``,
-    ``times`` (length p+1, starting at 0 and ending at omega), ``args``
-    (length p), ``A`` and ``B`` (n x n expression strings), ``impulses``
-    (p numeric n x n matrices), optional ``tolerances``.
-
-    Raises
-    ------
-    ValidationError
-        On schema violations, a non-invertible ``I + C_k``, a failed
-        periodicity certificate, or a malformed grid; the message carries
-        the offending field path.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from exc
+def _grid(doc):
+    """``(n, grid)`` of the decoded document ``doc``."""
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
-
     n = _require(doc, "n", int)
     if n < 1:
         raise ValidationError("dimension must be positive", "n")
@@ -363,12 +373,10 @@ def load_system(text: str) -> SystemSpec:
                 f"[{times[k]!r}, {times[k + 1]!r}]",
                 f"args[{k}]",
             )
+    return n, ArgumentGrid(omega, p, tuple(times), tuple(args))
 
-    grid = ArgumentGrid(omega, p, tuple(times), tuple(args))
 
-    A = _matrix_function(_require(doc, "A", list), n, omega, "A")
-    B = _matrix_function(_require(doc, "B", list), n, omega, "B")
-
+def _impulses(doc, n, p):
     impulses_raw = _require(doc, "impulses", list)
     if len(impulses_raw) != p:
         raise ValidationError(f"expected {p} impulse matrices", "impulses")
@@ -390,7 +398,10 @@ def load_system(text: str) -> SystemSpec:
             )
         C.setflags(write=False)
         impulses.append(C)
+    return tuple(impulses)
 
+
+def _tolerances(doc):
     tol_raw = doc.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ValidationError("expected an object", "tolerances")
@@ -401,8 +412,159 @@ def load_system(text: str) -> SystemSpec:
         tol[name] = _number(tol_raw.get(name, getattr(defaults, name)), path, finite=True)
         if tol[name] <= 0:
             raise ValidationError("tolerances must be positive", path)
+    return Tolerances(**tol)
 
-    return SystemSpec(n, A, B, tuple(impulses), grid, omega, Tolerances(**tol))
+
+def _bound(mf, binders, value):
+    """``mf`` at the parameter ``value``: its compiled function, and its
+    entries with the parameter bound by their ``binders``."""
+    entries = tuple(tuple(expr if bind is None else bind(value) for expr, bind in zip(*row))
+                    for row in zip(mf.entries, binders))
+    return MatrixFunction(mf.n, entries, mf.period, float(value), mf._rows)
+
+
+class _Family:
+    """A decoded system document, whose ``A`` and ``B`` may hold a parameter
+    ``token``, checked once in every field the parameter does not reach;
+    ``systems`` gives its systems at values of the parameter.
+
+    The checks run in ``load_system``'s order.  One that fails up to the
+    compilation of ``A`` raises.  One that fails after it (the structure
+    of ``B``, the impulses, the tolerances) is kept as ``late``, for the
+    systems that pass the periodicity certificates before it.  With a
+    token, a ``B`` that does not parse or compile raises too, since its
+    message could depend on the token's text.
+    """
+
+    def __init__(self, doc, token=None):
+        self.n, self.grid = _grid(doc)
+        n, omega = self.n, self.grid.omega
+        self.A = _matrix_function(_require(doc, "A", list), n, omega, "A", token)
+        self.B = self.late = None
+        try:
+            self.B = _matrix_function(_require(doc, "B", list), n, omega, "B", token)
+            self.impulses = _impulses(doc, n, self.grid.p)
+            self.tolerances = _tolerances(doc)
+        except ValidationError as exc:
+            if token is not None and self.B is None:
+                raise
+            self.late = exc
+        # Per entry of A and of B, the binder of the parameter.
+        self._binders = None if token is None else [
+            [[binder(expr) for expr in row] for row in mf.entries] for mf in (self.A, self.B)]
+
+    def systems(self, values=None):
+        """The system at every value of the array ``values`` of the
+        parameter, or the document's one system when ``values`` is None.
+        In place of one that fails a check, the ValidationError of the first
+        it fails: the certificate of ``A``, that of ``B``, then ``late``."""
+        errors = [None] * (1 if values is None else len(values))
+        for name, mf in (("A", self.A), ("B", self.B)):
+            if mf is None:
+                break
+            for r, defect in enumerate(_defects(mf, values)):
+                errors[r] = errors[r] or _certificate_error(defect, name)
+        out = []
+        for r, error in enumerate(errors):
+            error = error or self.late
+            if error is not None:
+                out.append(error)
+                continue
+            A, B = self.A, self.B
+            if values is not None:
+                A, B = (_bound(mf, binders, values[r]) for mf, binders in zip((A, B), self._binders))
+            out.append(SystemSpec(self.n, A, B, self.impulses, self.grid, self.grid.omega,
+                                  self.tolerances))
+        return out
+
+
+def _decode(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from exc
+
+
+def load_system(text: str) -> SystemSpec:
+    """Parse and validate a JSON system document.
+
+    See the README for the schema: fields ``n``, ``omega``, ``p``,
+    ``times`` (length p+1, starting at 0 and ending at omega), ``args``
+    (length p), ``A`` and ``B`` (n x n expression strings), ``impulses``
+    (p numeric n x n matrices), optional ``tolerances``.
+
+    Raises
+    ------
+    ValidationError
+        On schema violations, a non-invertible ``I + C_k``, a failed
+        periodicity certificate, or a malformed grid; the message carries
+        the offending field path.
+    """
+    (system,) = _Family(_decode(text)).systems()
+    if isinstance(system, ValidationError):
+        raise system
+    return system
+
+
+def _shared_family(text, token):
+    """The ``_Family`` of the sweep template ``text`` with its parameter ``token``
+    as a variable, or None where that could load another system than the
+    substituted text: the token outside the expression strings of ``A`` and
+    ``B``, or where it does not parse or compile as an atom (glued to a
+    digit, a letter or ``.``, in an exponent or in a power's base)."""
+    # Without escapes, every decoded string is the text's own, token for token.
+    if "\\" in text:
+        return None
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    entries = [entry for key in ("A", "B") if isinstance(doc.get(key), list)
+               for row in doc[key] if isinstance(row, list) for entry in row]
+    found = sum(len(token.findall(entry)) for entry in entries if isinstance(entry, str))
+    if found != len(token.findall(text)):
+        return None
+    try:
+        return _Family(doc, token)
+    except ValidationError:
+        return None
+
+
+class Template:
+    """A sweep template: a system document whose text holds the parameter
+    ``token`` (``expressions.param_token``).
+
+    ``load(values)`` gives, for each value, what ``load_system`` gives for
+    the text with every match of the token replaced by the value's
+    ``%.17g`` text: the system, or in its place the ValidationError.  Where
+    the token can be a variable (``_shared_family``), ``A`` and ``B`` parse
+    and compile once, and ``load`` runs one periodicity certificate over all
+    its values, each keeping its own defect.  Other templates, and
+    non-finite values, load one substituted document per value.
+    """
+
+    def __init__(self, text, token):
+        self.text, self.token = text, token
+        self._family = _shared_family(text, token)
+
+    def load(self, values):
+        out = [None] * len(values)
+        if self._family is not None:
+            shared = np.flatnonzero(np.isfinite(values))
+            if shared.size:
+                for r, system in zip(shared, self._family.systems(np.asarray(values)[shared])):
+                    out[r] = system
+        for r, value in enumerate(values):
+            if out[r] is None:
+                try:
+                    out[r] = load_system(self.token.sub(f"{value:.17g}", self.text))
+                except ValidationError as exc:
+                    out[r] = exc
+        return out
 
 
 def load_system_file(path) -> SystemSpec:

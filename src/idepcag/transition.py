@@ -29,7 +29,9 @@ exponential (Van Loan, IEEE TAC 1978), so they agree at the first comparison.
 
 An interval is integrated once, from its argument value ``zeta_k`` to both
 ends, and its node values are cached; monodromy assembly integrates every
-branch of the period in one batch.  The branches' accepted error estimates
+branch of the period in one batch, and the systems of a sweep template,
+which differ only in the value of its parameter, integrate all their
+branches in one batch (``build_operators``).  The branches' accepted error estimates
 are carried through the assembly of ``X(omega)``, and the batch is repeated
 at a tighter tolerance while they move ``X`` by more than ``ode_abs + ode_rel
 max|X|`` (``_build_intervals``).  Dense output at ``t`` is one partial
@@ -55,7 +57,7 @@ import logging
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # Neither is called here; both stay bound because perfbench/tracing.py patches them by name.
@@ -73,6 +75,7 @@ __all__ = [
     "w_local",
     "hypothesis_check",
     "interval_operators",
+    "build_operators",
 ]
 
 log = logging.getLogger("idepcag")
@@ -147,11 +150,13 @@ def _magnus_pass(A, B, t0, t1, N):
     return U
 
 
-def _magnus(A, B, tol, t0, t1, scale=1.0):
+def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
     """Fixed-step Magnus integration of ``[[A, B], [0, 0]]`` over every
     segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U, err)``,
     with ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass and
-    ``err`` the estimate of ``U[-1]``'s error that accepted it.
+    ``err`` the estimate of ``U[-1]``'s error that accepted it.  ``scale``
+    is one value or one per segment; ``params``, one per segment, sets the
+    parameter of ``A`` and ``B`` (by default each keeps its own).
 
     Each segment compares its last pass of ``N`` steps with a pass of
     ``M = r N`` steps on the nodes of the first; its error measure is the
@@ -167,13 +172,26 @@ def _magnus(A, B, tol, t0, t1, scale=1.0):
     predicts, rounded up to a power of two, at least ``2M`` and at most
     ``_N_MAX``.  Segments at the same ``(N, M)`` share one pass, and a
     segment's steps depend on its own gaps alone, so its result does not
-    depend on the batch.  Raises ``NumericalError`` on a non-finite value
-    and when a segment at ``_N_MAX`` steps stays open.
+    depend on the batch.
+
+    A non-finite node value, and a segment at ``_N_MAX`` steps that stays
+    open, fail the segment's row (``rows``, per segment; one row by
+    default): every segment of the row then holds, in place of its result,
+    the ``NumericalError`` the row's segments alone would raise first.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    atol, rtol = scale * tol.ode_abs, max(scale * tol.ode_rel, _RTOL_FLOOR)
     size = t0.size
+    atol, rtol = scale * tol.ode_abs, np.maximum(scale * tol.ode_rel, _RTOL_FLOOR)
+    per_segment = isinstance(scale, np.ndarray)
+
+    def at(seg):
+        """``A`` and ``B`` at the parameter values of the segments ``seg``."""
+        if params is None:
+            return A, B
+        values = params[seg, None, None]  # against the (step, node) axes of the times
+        return replace(A, param=values), replace(B, param=values)
+
     result = [None] * size
     # Per segment: the steps of its next pass, and the error measure and
     # step ratio of its last comparison (NaN before one).
@@ -181,26 +199,27 @@ def _magnus(A, B, tol, t0, t1, scale=1.0):
     excess = [math.nan] * size
     ratio = [math.nan] * size
     live = list(range(size))
-    # Overflow shows as a non-finite node value, which raises below.
+    # Overflow shows as a non-finite node value, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
-        last = list(_magnus_pass(A, B, t0, t1, _N_START))
+        last = list(_magnus_pass(*at(slice(None)), t0, t1, _N_START))
         while live:
             groups = {}
             for i in live:
                 groups.setdefault((len(last[i]) - 1, steps[i]), []).append(i)
+            failures = []  # (segment, 0 for a non-finite pass or 1 for _N_MAX, error)
             for (N, M), seg in groups.items():
-                fine = _magnus_pass(A, B, t0[seg], t1[seg], M)
+                idx = np.array(seg)
+                fine = _magnus_pass(*at(idx), t0[idx], t1[idx], M)
                 finite = np.isfinite(fine).all(axis=(1, 2, 3))
                 if not finite.all():
-                    bad = seg[np.flatnonzero(~finite)[0]]
-                    raise NumericalError(
-                        f"transition operator on [{float(t0[bad])!r}, {float(t1[bad])!r}] "
-                        "is not finite"
-                    )
+                    failures += [(i, 0, NumericalError(
+                        f"transition operator on [{float(t0[i])!r}, {float(t1[i])!r}] "
+                        "is not finite")) for i in idx[~finite]]
                 r = M // N
                 on_nodes = fine[:, ::r]
                 gap = np.abs(on_nodes - np.stack([last[i] for i in seg])).max(axis=(2, 3))
-                bound = atol + rtol * np.abs(on_nodes).max(axis=(2, 3))
+                a, b = (atol[idx, None], rtol[idx, None]) if per_segment else (atol, rtol)
+                bound = a + b * np.abs(on_nodes).max(axis=(2, 3))
                 for i, U, worst, node_gap in zip(seg, fine, (gap / bound).max(axis=1).tolist(),
                                                  gap.max(axis=1).tolist()):
                     # The rate shows when the measure fell by at least half
@@ -211,10 +230,10 @@ def _magnus(A, B, tol, t0, t1, scale=1.0):
                         result[i] = ((t1[i] - t0[i]) / M, U, factor * (last[i][-1] - U[-1]))
                         continue
                     if M >= _N_MAX:
-                        raise NumericalError(
-                            f"Magnus integration on [{float(t0[i])!r}, {float(t1[i])!r}] "
-                            f"missed its tolerance at {M} steps (node difference {node_gap:.3e})"
-                        )
+                        failures.append((i, 1, NumericalError(
+                            f"Magnus integration on [{float(t0[i])!r}, {float(t1[i])!r}] missed "
+                            f"its tolerance at {M} steps (node difference {node_gap:.3e})")))
+                        continue
                     steps[i] = 2 * M
                     if rate:
                         # The estimate falls as M^-6: the least power of two
@@ -222,15 +241,41 @@ def _magnus(A, B, tol, t0, t1, scale=1.0):
                         wanted = min(M * (worst * factor) ** (1.0 / 6.0), _N_MAX)
                         steps[i] = max(2 * M, 2 ** math.ceil(math.log2(wanted)))
                     excess[i], ratio[i], last[i] = worst, r, U
+            if failures:
+                rows = np.zeros(size, int) if rows is None else rows
+                for row, error in _first_failures(live, groups, failures, rows).items():
+                    for i in np.flatnonzero(rows == row):
+                        result[i] = error
             live = [i for i in live if result[i] is None]
     return result
+
+
+def _first_failures(live, groups, failures, rows):
+    """Per row with a failure of this round of ``_magnus``, the error its
+    segments alone raise first: its groups in the order its live segments
+    first meet them, in a group a non-finite pass before a missed
+    tolerance, and segments in order."""
+    group_of = {i: key for key, seg in groups.items() for i in seg}
+    order = {}
+    for i in live:
+        seen = order.setdefault(rows[i], {})
+        seen.setdefault(group_of[i], len(seen))
+    first = {}
+    for i, kind, error in failures:
+        rank = (order[rows[i]][group_of[i]], kind, i)
+        if rows[i] not in first or rank < first[rows[i]][0]:
+            first[rows[i]] = (rank, error)
+    return {row: error for row, (_, error) in first.items()}
 
 
 def _fresh_flows(system, s, t):
     """``U(t_i, s_i)`` for every pair of ``s`` and ``t``, stacked, from one
     fresh batched integration.  Each segment closes on its own, so its value
     does not depend on the others; a zero-length segment gives exactly ``I``."""
-    return np.stack([U[-1] for _, U, _ in _magnus(system.A, system.B, system.tolerances, s, t)])
+    flows = _magnus(system.A, system.B, system.tolerances, s, t)
+    if isinstance(flows[0], NumericalError):
+        raise flows[0]
+    return np.stack([U[-1] for _, U, _ in flows])
 
 
 def fundamental_matrix(system: SystemSpec, s: float, t: float) -> np.ndarray:
@@ -347,32 +392,61 @@ def _monodromy_from_ends(system, ends, E):
     return X
 
 
-def _build_intervals(system):
-    """``IntervalOperators`` of every base interval, from one batched Magnus
-    integration of all branches ``[zeta_k, t_{k+1}]`` and ``[zeta_k, t_k]``.
+def _build_intervals(systems):
+    """``IntervalOperators`` of every base interval of each of ``systems``,
+    or in their place the ``NumericalError`` of a failed build, from one
+    batched Magnus integration of all branches ``[zeta_k, t_{k+1}]`` and
+    ``[zeta_k, t_k]``.  The systems share their grid, tolerances and
+    compiled coefficients, and differ at most in the value of the
+    coefficients' parameter (``MatrixFunction.param``, one value for ``A``
+    and ``B``).
 
     Each branch meets the tolerance at its own nodes, but ``X(omega)``
     multiplies the branch ends and inverts the left ones, which can scale
     their errors up by the conditioning of ``E(t_k, zeta_k)``.  So the
     branches' accepted error estimates are carried through the assembly of
-    ``X(omega)``; while that moves ``X`` by more than ``ode_abs + ode_rel
-    max|X|``, the integration is repeated with every branch's tolerance
-    scaled down by twice the excess (``ode_rel`` no lower than
-    ``_RTOL_FLOOR``)."""
-    grid, n, tol = system.grid, system.n, system.tolerances
+    ``X(omega)``; while that moves a system's ``X`` by more than ``ode_abs +
+    ode_rel max|X|``, its integration is repeated with every branch's
+    tolerance scaled down by twice the excess (``ode_rel`` no lower than
+    ``_RTOL_FLOOR``).  Every segment steps on its own gaps, so each system's
+    nodes, repeats and errors are those it gets alone."""
+    first = systems[0]
+    grid, n, tol = first.grid, first.n, first.tolerances
     ends = _branch_ends(grid)
     zeta, end = [grid.args[j] for j, _ in ends], [end for _, end in ends]
-    scale = 1.0
-    while True:
-        flows = _magnus(system.A, system.B, tol, zeta, end, scale)
-        ops = _operators_from_branches(system, dict(zip(ends, flows)))
-        top = np.stack([(U[-1, :n], U[-1, :n] + err[:n]) for _, U, err in flows])
-        X, moved = _monodromy_from_ends(system, ends, top[..., :n] + top[..., n:])
-        excess = np.abs(moved - X).max() / (tol.ode_abs + tol.ode_rel * np.abs(X).max())
-        # NaN compares false, so a non-finite estimate ends the loop too.
-        if not (excess > 1.0 and scale * tol.ode_rel > _RTOL_FLOOR):
-            return ops
-        scale /= 2.0 * excess
+    params = np.array([system.A.param for system in systems]) if len(systems) > 1 else None
+    scale = [1.0] * len(systems)
+    out = [None] * len(systems)
+    live = list(range(len(systems)))
+    while live:
+        if len(systems) == 1:
+            # One system keeps its own parameter and one scale for its segments.
+            flows = _magnus(first.A, first.B, tol, zeta, end, scale[0])
+        else:
+            rows = np.repeat(live, len(ends))
+            flows = _magnus(first.A, first.B, tol, zeta * len(live), end * len(live),
+                            np.array(scale)[rows], params[rows], rows)
+        again = []
+        for k, r in enumerate(live):
+            branches = flows[k * len(ends):(k + 1) * len(ends)]
+            try:
+                if isinstance(branches[0], NumericalError):
+                    raise branches[0]
+                ops = _operators_from_branches(systems[r], dict(zip(ends, branches)))
+                top = np.stack([(U[-1, :n], U[-1, :n] + err[:n]) for _, U, err in branches])
+                X, moved = _monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])
+            except NumericalError as exc:
+                out[r] = exc
+                continue
+            excess = np.abs(moved - X).max() / (tol.ode_abs + tol.ode_rel * np.abs(X).max())
+            # NaN compares false, so a non-finite estimate ends the loop too.
+            if excess > 1.0 and scale[r] * tol.ode_rel > _RTOL_FLOOR:
+                scale[r] /= 2.0 * excess
+                again.append(r)
+            else:
+                out[r] = ops
+        live = again
+    return out
 
 
 def _operators_from_branches(system, branches):
@@ -429,10 +503,35 @@ def interval_operators(system: SystemSpec):
     with _OPS_LOCK:
         ops = _OPS_CACHE.get(system)
     if ops is None:
-        ops = _build_intervals(system)
+        (ops,) = _build_intervals([system])
+        if isinstance(ops, NumericalError):
+            raise ops
         with _OPS_LOCK:
             _OPS_CACHE[system] = ops
     return ops
+
+
+def build_operators(systems):
+    """Build and cache the operators of every one of ``systems`` that has
+    none yet, and return per system the ``NumericalError`` its build raised
+    (``interval_operators`` would raise it), or None.  The systems of one
+    ``model.Template`` that share its compiled coefficients integrate in one
+    batch (``_build_intervals``); any others alone."""
+    errors = [None] * len(systems)
+    batches = {}
+    with _OPS_LOCK:
+        for i, system in enumerate(systems):
+            if system not in _OPS_CACHE:
+                shared = (system.A._rows, system.B._rows, system.grid, system.tolerances)
+                batches.setdefault(shared, []).append(i)
+    for batch in batches.values():
+        for i, ops in zip(batch, _build_intervals([systems[i] for i in batch])):
+            if isinstance(ops, NumericalError):
+                errors[i] = ops
+            else:
+                with _OPS_LOCK:
+                    _OPS_CACHE[systems[i]] = ops
+    return errors
 
 
 def w_local(system: SystemSpec, k: int, s: float, t: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 import idepcag
 from idepcag import analyze, bundled_system_path, load_bundled_system, w_local
 from idepcag.cli import main
+from idepcag.expressions import param_token
 from conftest import scalar_doc, sin_doc
 
 TWO_PI = 2.0 * math.pi
@@ -462,7 +463,7 @@ def _analyze_cells(doc, value):
     """The sweep row of ``value`` formatted from ``analyze`` of ``doc``."""
     try:
         report = analyze(idepcag.load_system(doc))
-    except idepcag.NumericalError as exc:
+    except (idepcag.ValidationError, idepcag.NumericalError) as exc:
         reason = str(exc).splitlines()[0].replace(",", ";")
         return [f"{value:.12e}", "", "", f"Error: {reason}", ""]
     return [
@@ -554,6 +555,115 @@ def test_sweep_table_matches_closed_form(capsys):
             continue
         assert abs(complex(multiplier.replace("i", "j")) - ac) <= 1e-12
         assert abs(float(lyapunov) - math.log(abs(ac))) <= 1e-12
+
+
+def _sweep_cells(tmp_path, capsys, text, param, lo, hi, steps):
+    """Rows of a sweep of ``text``, each checked against ``_analyze_cells``
+    of its own substituted document; whether the rows shared one parse."""
+    path = _write(tmp_path, "template.json", text)
+    values = np.linspace(lo, hi, steps)
+    expected = [_analyze_cells(text.replace(f"${param}", f"{v:.17g}"), v) for v in values]
+    assert main(["sweep", path, "--param", param, f"--range={lo!r}:{hi!r}",
+                 "--steps", str(steps)]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == expected
+    shared = idepcag.model.Template(text, param_token(param))._family is not None
+    return rows, shared
+
+
+def _trig_doc(**fields):
+    return json.dumps({**json.loads(_trig_template(param_in_a=False)), **fields})
+
+
+def test_sweep_pins_trig_template_bytes(tmp_path, capsys):
+    # tests/data/trig_eps_sweep.csv was written by the sweep that analyzed
+    # one substituted document per row; the range covers negative values and 0.
+    path = _write(tmp_path, "template.json", _trig_template(param_in_a=False))
+    expected = (Path(__file__).parent / "data" / "trig_eps_sweep.csv").read_text()
+    assert main(["sweep", path, "--param", "EPS", "--range=-1:1", "--steps", "9"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_sweep_rows_split_across_blocks_give_the_same_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(idepcag.cli, "SWEEP_BLOCK", 3)
+    test_sweep_pins_trig_template_bytes(tmp_path, capsys)
+    test_sweep_serial_matches_pooled_output(capsys)
+
+
+@pytest.mark.parametrize("field, value, lo, hi", [
+    ("impulses", [[["$EPS", 0.0], [0.05, -0.2]], [[-0.1, 0.2], [0.0, 0.15]]], -1.5, 0.5),
+    ("args", ["$EPS", 0.7], -0.1, 0.5),
+])
+def test_sweep_token_outside_expressions_loads_each_row(tmp_path, capsys, field, value, lo, hi):
+    # Unquoted, the token makes the template itself invalid JSON.
+    text = _trig_doc(**{field: value}).replace('"$EPS"', "$EPS")
+    rows, shared = _sweep_cells(tmp_path, capsys, text, "EPS", lo, hi, 5)
+    assert not shared
+    assert any(row[3].startswith("Error:") for row in rows)
+    assert not all(row[3].startswith("Error:") for row in rows)
+
+
+@pytest.mark.parametrize("entries, shares", [
+    ({"A": [["-0.3 + $EPS^2*sin(2*pi*t)", "0.2*cos(2*pi*t)"], ["-0.1", "($EPS)^3 - 0.2"]]}, False),
+    ({"B": [["2*$EPS", "0.3"], ["-$EPS*cos(2*pi*t)", "0.5 - $EPS + sin($EPS)"]]}, True),
+    ({"B": [["0.6", "0.3"], ["2$EPS", "0.5"]]}, False),
+])
+def test_sweep_powers_and_signs_of_negative_values(tmp_path, capsys, entries, shares):
+    # -0.5^2 is -(0.5^2): substitution and a variable differ in a power's
+    # base, so such a template loads each row; signs elsewhere are exact.
+    _, shared = _sweep_cells(tmp_path, capsys, _trig_doc(**entries), "EPS", -1.0, 0.5, 7)
+    assert shared == shares
+
+
+def test_sweep_certificate_failure_next_to_loading_rows(tmp_path, capsys):
+    text = _trig_doc(A=[["-0.3 + $EPS*t", "0.2*cos(2*pi*t)"], ["-0.1", "0.1"]])
+    rows, shared = _sweep_cells(tmp_path, capsys, text, "EPS", -4e-9, 4e-9, 5)
+    assert shared
+    failed = [row[3] for row in rows if row[3].startswith("Error:")]
+    assert failed and len(failed) < len(rows)
+    assert all("periodicity certificate failed: max |M(t+omega) - M(t)| = 4.000e-09" in reason
+               for reason in (failed[0], failed[-1]))
+
+
+def test_sweep_singular_anchor_next_to_good_rows(tmp_path, capsys):
+    text = bundled_system_path("scalar_table_template").read_text()
+    rows, shared = _sweep_cells(tmp_path, capsys, text, "AC", -1.0, 1.0, 5)
+    assert shared
+    assert [row[3].startswith("Error: J(t_{k+1}; zeta_k) is singular") for row in rows] == \
+        [False, False, True, False, False]
+
+
+def test_sweep_repeats_only_the_rows_whose_monodromy_needs_it(tmp_path, capsys, monkeypatch):
+    # At EPS = 1 this document's X(omega) misses its tolerance although its
+    # branch does not, so that row alone is integrated again.
+    from test_stepping import _generated_doc
+    doc = json.loads(_generated_doc(106716828, 3, ("advanced",)))
+    doc["tolerances"] = {"ode_abs": 1e-8, "ode_rel": 1e-8, "alg": 1e-9}
+    doc["B"] = [[f"($EPS)*({e})" for e in row] for row in doc["B"]]
+    segments = []
+    magnus = idepcag.transition._magnus
+    monkeypatch.setattr(idepcag.transition, "_magnus",
+                        lambda *a, **k: segments.append(len(a[3])) or magnus(*a, **k))
+    _, shared = _sweep_cells(tmp_path, capsys, json.dumps(doc), "EPS", 0.0, 1.0, 5)
+    # _analyze_cells integrates each row alone: 1 + 1 + 1 + 1 + 2 calls.
+    assert shared and segments[-2:] == [5, 1] and len(segments) == 8
+
+
+def test_sweep_steps_past_record_limit_rejected(monkeypatch, capfd):
+    args = ["sweep", _spec("scalar_table_template"), "--param", "AC", "--range=-2:2", "--steps"]
+    started = time.perf_counter()
+    assert main(args + ["10000000000000"]) == 1
+    assert time.perf_counter() - started < 1.0
+    out, err = capfd.readouterr()
+    limit = idepcag.simulate.MAX_RECORDS
+    assert out == "" and err == f"error: --steps must be between 1 and {limit}\n"
+    monkeypatch.setattr(idepcag.simulate, "MAX_RECORDS", 16)
+    assert main(args + ["16"]) == 0
+    assert len(capfd.readouterr().out.splitlines()) == 17
+    for steps in ("17", "0"):
+        assert main(args + [steps]) == 1
+        out, err = capfd.readouterr()
+        assert out == "" and err == "error: --steps must be between 1 and 16\n"
 
 
 # ------------------------------------------------- adversarial coefficients

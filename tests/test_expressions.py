@@ -148,3 +148,36 @@ def test_non_finite_literal_rejected_at_its_position():
 def test_deep_nesting_is_a_syntax_error():
     with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
         parse_expression("sin(" * 2000 + "t" + ")" * 2000)
+
+
+@pytest.mark.parametrize("text, source", [
+    ("2*$EPS*t", "2.0*p*t"),
+    ("-$EPS + sin($EPS*t)", "-p + _sin(p*t)"),
+    ("1 - -$EPS", "1.0 - -p"),
+])
+def test_parameter_is_a_second_variable(text, source):
+    from idepcag.expressions import binder, compile_lambda, param_token, to_source
+
+    expr = parse_expression(text, param_token("EPS"))
+    assert to_source(expr) == source
+    ts = np.linspace(-2.0, 2.0, 7)
+    compiled = compile_lambda(to_source(expr))
+    for value in (-0.75, 0.0, 1.5):
+        # A negative literal parses as Neg(Const), the bound tree holds
+        # Const(value): both evaluate to the bits of p at the value.
+        literal = parse_expression(text.replace("$EPS", f"{value:.17g}"))
+        expected = np.broadcast_to(literal.evaluate(ts), ts.shape).tobytes()
+        assert np.broadcast_to(compiled(ts, value), ts.shape).tobytes() == expected
+        assert np.broadcast_to(binder(expr)(value).evaluate(ts), ts.shape).tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["$EPS^2", "($EPS)^3", "t^$EPS", "2$EPS", "$EPS.5", "t $EPS", "$$EPS"])
+def test_parameter_only_as_an_atom_outside_powers(text):
+    from idepcag.expressions import param_token
+
+    with pytest.raises(ExpressionSyntaxError):
+        parse_expression(text, param_token("EPS"))
+    # $EPSX is another token, left as the text it is.
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character '\\$'"):
+        parse_expression("$EPSX", param_token("EPS"))

@@ -495,6 +495,17 @@ def test_verify_unit_computes_each_spectral_fact_once(monkeypatch):
     assert sorted(calls) == ["_logm", "eig", "expm"]
 
 
+def test_verify_unit_assembles_the_monodromy_once(monkeypatch):
+    # verify_normal_form and monodromy_refined read one X(omega).
+    system = load_bundled_system("rotation_2x2")
+    calls = []
+    original = floquet.monodromy
+    monkeypatch.setattr(floquet, "monodromy", lambda s: calls.append(s) or original(s))
+    checks = structural_residuals(system)
+    assert calls == [system]
+    assert [c.name for c in checks][-3:] == ["expm_p_roundtrip", "monodromy_refined", "q_equation"]
+
+
 def test_one_singularity_rule_for_log_square_and_multipliers():
     # A multiplier of 1e-8 squares to 1e-16, yet M @ M is invertible exactly
     # when M is: both logarithms exist.
