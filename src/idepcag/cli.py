@@ -41,7 +41,7 @@ from .model import Template, ValidationError, load_system
 from . import simulate
 from .serialize import canonical_json
 from .simulate import max_discrepancy, solve_cauchy, solve_direct
-from .transition import build_operators
+from .transition import build_operators, node_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,9 +49,11 @@ EXIT_STRICT_H = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-# Sweep rows loaded and integrated in one batch: a batch's arrays grow with
-# its rows, so blocks of this many keep the memory of a long sweep flat.
-SWEEP_BLOCK = 16
+# Most node entries one block of sweep rows may hold, with every branch of
+# every row at its most steps (transition.node_bound): a batch's arrays grow
+# with its rows, so the blocks keep a long sweep's memory flat, and rows too
+# large to share a block go one at a time, as analyze builds them.
+SWEEP_ELEMENTS = 2**22
 
 log = logging.getLogger("idepcag")
 
@@ -166,7 +168,8 @@ def _build_parser():
                     "appears only in expressions of A and B, as an atom and outside any "
                     "power's base, the template parses once with $N as a variable; "
                     "otherwise each value loads its own document.  Rows that share the parse "
-                    f"integrate together, {SWEEP_BLOCK} at a time.")
+                    "integrate together, as many at a time as can hold "
+                    f"{SWEEP_ELEMENTS} node entries at their branches' most steps.")
     p_sw.add_argument("template")
     p_sw.add_argument("--param", required=True,
                       help="name N substituted for the token $N in the template")
@@ -342,6 +345,15 @@ def _sweep_row(value, system):
     return f"{value:.12e},{multipliers},{lyapunov},{verdict},{oscillatory}"
 
 
+def _sweep_block(template):
+    """Rows of ``template`` loaded and integrated together: as many as fit
+    ``SWEEP_ELEMENTS`` at their most nodes, at least one; one where each
+    row loads its own document, which integrates alone."""
+    if template.shape is None:
+        return 1
+    return max(1, SWEEP_ELEMENTS // node_bound(*template.shape))
+
+
 def _cmd_sweep(args):
     text = _read(args.template)
     token = param_token(args.param)
@@ -354,8 +366,9 @@ def _cmd_sweep(args):
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     template = Template(text, token)
     rows = ["value,multipliers,lyapunov,verdict,oscillatory"]
-    for start in range(0, values.size, SWEEP_BLOCK):
-        block = values[start:start + SWEEP_BLOCK]
+    size = _sweep_block(template)
+    for start in range(0, values.size, size):
+        block = values[start:start + size]
         systems = template.load(block)
         loaded = [i for i, system in enumerate(systems) if not isinstance(system, Exception)]
         for i, error in zip(loaded, build_operators([systems[i] for i in loaded])):

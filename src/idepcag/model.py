@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,8 +84,9 @@ class MatrixFunction:
     except that numpy may round an integer power of an array differently
     from a scalar one, by at most one ulp.
 
-    ``param`` is the value of ``p`` the function evaluates at; an array of
-    values broadcasts against the times of ``_eval_many``.  The systems of a
+    ``param`` is the value of ``p`` the function evaluates at;
+    ``_eval_many`` also takes an array of values, which broadcasts against
+    the times, for the systems of a batch.  The systems of a
     ``Template`` pass in the template's compiled function (``_rows``) and
     hold its entries with ``p`` bound to their value; no power has ``p`` in
     its base, so the two agree bit for bit.
@@ -119,15 +120,17 @@ class MatrixFunction:
                     return False
         return True
 
-    def _eval_many(self, ts):
-        """Entries at every time of the array ``ts``, shape ``(n, n) + ts.shape``
-        (for an array ``param``, ``(n, n)`` plus the broadcast shape of both);
-        constant entries broadcast."""
-        shape = ts.shape
-        if isinstance(self.param, np.ndarray):
-            shape = np.broadcast_shapes(shape, self.param.shape)
+    def _eval_many(self, ts, param=None):
+        """Entries at every time of the array ``ts``, shape ``(n, n) + ts.shape``,
+        at ``self.param``, or at every value of the array ``param``, shape
+        ``(n, n)`` plus the broadcast shape of ``ts`` and ``param``; constant
+        entries broadcast."""
+        if param is None:
+            param, shape = self.param, ts.shape
+        else:
+            shape = np.broadcast(ts, param).shape
         out = np.empty((self.n, self.n) + shape)
-        for i, row in enumerate(self._rows(ts, self.param)):
+        for i, row in enumerate(self._rows(ts, param)):
             for j, value in enumerate(row):
                 out[i, j] = value
         return out
@@ -144,12 +147,11 @@ def _defects(mf, params=None, samples=_PERIODICITY_SAMPLES):
     when ``params`` is None)."""
     rng = np.random.default_rng(20240801)
     ts = rng.uniform(0.0, mf.period, size=samples)
-    if params is not None:
-        mf = replace(mf, param=np.asarray(params, dtype=float)[:, None])
+    param = None if params is None else np.asarray(params, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            now = mf._eval_many(ts).reshape(mf.n, mf.n, -1, samples)
-            later = mf._eval_many(ts + mf.period).reshape(now.shape)
+            now = mf._eval_many(ts, param).reshape(mf.n, mf.n, -1, samples)
+            later = mf._eval_many(ts + mf.period, param).reshape(now.shape)
         except OverflowError:  # a power of Python floats, where numpy gives inf
             return np.full(1 if params is None else len(params), math.inf)
         gap = np.abs(later - now).max(axis=(0, 1, 3), initial=0.0)
@@ -550,6 +552,13 @@ class Template:
     def __init__(self, text, token):
         self.text, self.token = text, token
         self._family = _shared_family(text, token)
+
+    @property
+    def shape(self):
+        """``(n, grid)`` of the systems that share the parse, or None where
+        each value loads its own document."""
+        family = self._family
+        return None if family is None else (family.n, family.grid)
 
     def load(self, values):
         out = [None] * len(values)

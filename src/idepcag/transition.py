@@ -57,7 +57,7 @@ import logging
 import math
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # Neither is called here; both stay bound because perfbench/tracing.py patches them by name.
@@ -76,6 +76,7 @@ __all__ = [
     "hypothesis_check",
     "interval_operators",
     "build_operators",
+    "node_bound",
 ]
 
 log = logging.getLogger("idepcag")
@@ -107,10 +108,12 @@ def _comm(X, Y):
     return X @ Y - Y @ X
 
 
-def _magnus_omega(A, B, t0, h):
+def _magnus_omega(A, B, t0, h, param=None):
     """Sixth-order Magnus exponents of the steps ``[t0, t0 + h]`` of the
     block generator ``[[A, B], [0, 0]]``: ``t0`` is an array, ``h``
     broadcasts against it, and the result has shape ``t0.shape + (2n, 2n)``.
+    ``param``, if given, is the parameter of ``A`` and ``B``, which
+    broadcasts against the node times (shape ``t0.shape + (3,)``).
 
     With ``H_i = h H(t0 + c_i h)`` on the Gauss nodes ``c_i`` (Blanes,
     Casas, Oteo & Ros 2009, §5): ``a1 = H_2``, ``a2 = sqrt(15)/3 (H_3 - H_1)``,
@@ -124,7 +127,7 @@ def _magnus_omega(A, B, t0, h):
     axes = (ts.ndim + 1, *range(2, ts.ndim + 1), 0, 1)
     a = np.zeros((5,) + t0.shape + (2 * n, 2 * n))
     for cols, F in ((slice(0, n), A), (slice(n, 2 * n), B)):
-        values = F._eval_many(ts)
+        values = F._eval_many(ts, param)
         combos = _gemm(values.reshape(-1, 3), _GL3_COMB)
         a[..., :n, cols] = combos.reshape(values.shape[:-1] + (5,)).transpose(axes)
     a *= h[..., None, None]
@@ -134,14 +137,15 @@ def _magnus_omega(A, B, t0, h):
     return gauss + _comm(left + c1, a2 + c2) / 240.0
 
 
-def _magnus_pass(A, B, t0, t1, N):
+def _magnus_pass(A, B, t0, t1, N, param=None):
     """Node values ``U(t0 + k h, t0)``, ``k = 0..N``, ``h = (t1 - t0) / N``,
-    of every segment: shape ``(S, N + 1, 2n, 2n)``."""
+    of every segment: shape ``(S, N + 1, 2n, 2n)``; ``param``, if given,
+    is the parameter of ``A`` and ``B`` per segment, shape ``(S, 1, 1)``."""
     h = ((t1 - t0) / N)[:, None]
     U = np.empty((t0.size, N + 1, 2 * A.n, 2 * A.n))
     U[:, 0] = np.eye(2 * A.n)
     P = U[:, 1:]
-    P[...] = _expm_many(_magnus_omega(A, B, t0[:, None] + h * np.arange(N), h))
+    P[...] = _expm_many(_magnus_omega(A, B, t0[:, None] + h * np.arange(N), h, param))
     # Prefix products by doubling: afterwards P[:, k] = F_k ... F_1 F_0.
     d = 1
     while d < N:
@@ -184,13 +188,8 @@ def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
     size = t0.size
     atol, rtol = scale * tol.ode_abs, np.maximum(scale * tol.ode_rel, _RTOL_FLOOR)
     per_segment = isinstance(scale, np.ndarray)
-
-    def at(seg):
-        """``A`` and ``B`` at the parameter values of the segments ``seg``."""
-        if params is None:
-            return A, B
-        values = params[seg, None, None]  # against the (step, node) axes of the times
-        return replace(A, param=values), replace(B, param=values)
+    # Against the (step, node) axes of the times of a pass.
+    param = None if params is None else params[:, None, None]
 
     result = [None] * size
     # Per segment: the steps of its next pass, and the error measure and
@@ -201,7 +200,7 @@ def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
     live = list(range(size))
     # Overflow shows as a non-finite node value, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
-        last = list(_magnus_pass(*at(slice(None)), t0, t1, _N_START))
+        last = list(_magnus_pass(A, B, t0, t1, _N_START, param))
         while live:
             groups = {}
             for i in live:
@@ -209,7 +208,7 @@ def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
             failures = []  # (segment, 0 for a non-finite pass or 1 for _N_MAX, error)
             for (N, M), seg in groups.items():
                 idx = np.array(seg)
-                fine = _magnus_pass(*at(idx), t0[idx], t1[idx], M)
+                fine = _magnus_pass(A, B, t0[idx], t1[idx], M, None if param is None else param[idx])
                 finite = np.isfinite(fine).all(axis=(1, 2, 3))
                 if not finite.all():
                     failures += [(i, 0, NumericalError(
@@ -379,6 +378,13 @@ def _branch_ends(grid):
             for end in grid.times[j:j + 2] if end != zeta]
 
 
+def node_bound(n, grid):
+    """Most node entries the operators of one system of dimension ``n`` on
+    ``grid`` can hold, and so the size a batch's arrays reach per system:
+    ``_N_MAX + 1`` node values of ``(2n)^2`` entries on every branch."""
+    return len(_branch_ends(grid)) * (_N_MAX + 1) * (2 * n) ** 2
+
+
 def _monodromy_from_ends(system, ends, E):
     """``X(omega)`` assembled from ``E[i] = E(end, zeta_k)`` of the branches
     ``ends[i] = (k, end)``, one impulse and ``E_right E_left^-1`` per base
@@ -414,18 +420,14 @@ def _build_intervals(systems):
     grid, n, tol = first.grid, first.n, first.tolerances
     ends = _branch_ends(grid)
     zeta, end = [grid.args[j] for j, _ in ends], [end for _, end in ends]
-    params = np.array([system.A.param for system in systems]) if len(systems) > 1 else None
-    scale = [1.0] * len(systems)
+    params = np.array([system.A.param for system in systems])
+    scale = np.array([1.0] * len(systems))
     out = [None] * len(systems)
-    live = list(range(len(systems)))
-    while live:
-        if len(systems) == 1:
-            # One system keeps its own parameter and one scale for its segments.
-            flows = _magnus(first.A, first.B, tol, zeta, end, scale[0])
-        else:
-            rows = np.repeat(live, len(ends))
-            flows = _magnus(first.A, first.B, tol, zeta * len(live), end * len(live),
-                            np.array(scale)[rows], params[rows], rows)
+    live = np.arange(len(systems))
+    while live.size:
+        rows = live.repeat(len(ends))
+        flows = _magnus(first.A, first.B, tol, zeta * len(live), end * len(live),
+                        scale[rows], params[rows], rows)
         again = []
         for k, r in enumerate(live):
             branches = flows[k * len(ends):(k + 1) * len(ends)]
@@ -445,7 +447,7 @@ def _build_intervals(systems):
                 again.append(r)
             else:
                 out[r] = ops
-        live = again
+        live = np.array(again, dtype=int)
     return out
 
 
@@ -503,18 +505,18 @@ def interval_operators(system: SystemSpec):
     with _OPS_LOCK:
         ops = _OPS_CACHE.get(system)
     if ops is None:
-        (ops,) = _build_intervals([system])
-        if isinstance(ops, NumericalError):
-            raise ops
+        (error,) = build_operators([system])
+        if error is not None:
+            raise error
         with _OPS_LOCK:
-            _OPS_CACHE[system] = ops
+            ops = _OPS_CACHE[system]
     return ops
 
 
 def build_operators(systems):
     """Build and cache the operators of every one of ``systems`` that has
     none yet, and return per system the ``NumericalError`` its build raised
-    (``interval_operators`` would raise it), or None.  The systems of one
+    (``interval_operators`` raises it), or None.  The systems of one
     ``model.Template`` that share its compiled coefficients integrate in one
     batch (``_build_intervals``); any others alone."""
     errors = [None] * len(systems)

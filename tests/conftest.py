@@ -12,9 +12,9 @@ def count_partial_steps(monkeypatch):
     steps = []
     original = transition._magnus_omega
 
-    def spy(A, B, t0, h):
+    def spy(A, B, t0, h, *param):
         steps.append(t0.size)
-        return original(A, B, t0, h)
+        return original(A, B, t0, h, *param)
 
     monkeypatch.setattr(transition, "_magnus_omega", spy)
     return steps

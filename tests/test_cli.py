@@ -585,9 +585,50 @@ def test_sweep_pins_trig_template_bytes(tmp_path, capsys):
 
 
 def test_sweep_rows_split_across_blocks_give_the_same_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(idepcag.cli, "SWEEP_BLOCK", 3)
+    monkeypatch.setattr(idepcag.cli, "_sweep_block", lambda template: 3)
     test_sweep_pins_trig_template_bytes(tmp_path, capsys)
     test_sweep_serial_matches_pooled_output(capsys)
+
+
+def _block(text):
+    return idepcag.cli._sweep_block(idepcag.model.Template(text, param_token("EPS")))
+
+
+def test_sweep_block_holds_its_rows_at_their_most_steps():
+    # Four branches of 2^13 + 1 nodes of 4 x 4 entries per row of the trig template.
+    per_row = 4 * (idepcag.transition._N_MAX + 1) * 16
+    assert _block(_trig_template(param_in_a=False)) == idepcag.cli.SWEEP_ELEMENTS // per_row > 1
+    # n = 10, p = 5: one row alone can hold more than a block.
+    n, p = 10, 5
+    big = json.dumps({
+        "n": n, "omega": 1.0, "p": p, "times": [k / p for k in range(p + 1)],
+        "args": [(k + 0.5) / p for k in range(p)],
+        "A": [["$EPS*sin(2*pi*t)" if i == j else "0" for j in range(n)] for i in range(n)],
+        "B": [["0"] * n for _ in range(n)],
+        "impulses": [[[0.0] * n for _ in range(n)] for _ in range(p)],
+    })
+    assert _block(big) == 1
+    # Rows that load their own documents build alone.
+    assert _block(_trig_doc(args=["$EPS", 0.7]).replace('"$EPS"', "$EPS")) == 1
+
+
+def test_sweep_batch_nodes_and_monodromy_bytes_equal_each_document():
+    # exp($EPS) and cos($EPS) evaluate on an array of the rows' values in a
+    # batch, and on a literal in each substituted document.
+    text = _trig_doc(B=[["exp($EPS)*sin(2*pi*t)", "0.3*cos($EPS)"],
+                        ["-0.4*cos(2*pi*t)", "0.5*exp(-$EPS) + $EPS*sin(4*pi*t)"]])
+    template = idepcag.model.Template(text, param_token("EPS"))
+    assert template.shape is not None
+    values = np.linspace(-1.0, 1.0, 9)
+    # A batch of eight rows, and a batch of one.
+    systems = template.load(values[:8]) + template.load(values[8:])
+    assert idepcag.transition.build_operators(systems[:8]) == [None] * 8
+    assert idepcag.transition.build_operators(systems[8:]) == [None]
+    for value, system in zip(values, systems):
+        alone = idepcag.load_system(text.replace("$EPS", f"{value:.17g}"))
+        for ops, ops_alone in zip(*map(idepcag.interval_operators, (system, alone))):
+            assert ops._nodes.tobytes() == ops_alone._nodes.tobytes()
+        assert idepcag.monodromy(system).tobytes() == idepcag.monodromy(alone).tobytes()
 
 
 @pytest.mark.parametrize("field, value, lo, hi", [

@@ -78,9 +78,12 @@ def _outcome(fn):
         return type(exc)
 
 
-def tree_eval_many(mf, ts):
+def tree_eval_many(mf, ts, param=None):
     """``tree_eval`` at every time of the array ``ts``, laid out as
-    ``MatrixFunction._eval_many``: shape ``(n, n) + ts.shape``."""
+    ``MatrixFunction._eval_many``: shape ``(n, n) + ts.shape``.  The
+    entries hold the system's own parameter value, which is all ``param``
+    may broadcast."""
+    assert param is None or (param == mf.param).all()
     out = np.empty((mf.n, mf.n) + ts.shape, dtype=float)
     for index in np.ndindex(ts.shape):
         out[(slice(None), slice(None)) + index] = tree_eval(mf, ts[index])

@@ -495,8 +495,8 @@ def _record_passes(monkeypatch):
     passes = []
     original = transition._magnus_pass
 
-    def spy(A, B, t0, t1, N):
-        U = original(A, B, t0, t1, N)
+    def spy(A, B, t0, t1, N, *param):
+        U = original(A, B, t0, t1, N, *param)
         passes.append((int(N), U))
         return U
 
