@@ -316,7 +316,8 @@ def _cmd_verify(args):
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def _parse_range(text):
+def _sweep_values(text, steps):
+    """The ``steps`` evenly spaced values of the ``--range`` text LO:HI."""
     try:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = float(lo_text), float(hi_text)
@@ -324,7 +325,12 @@ def _parse_range(text):
         raise _UsageError(f"--range must be LO:HI, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _UsageError(f"--range bounds must be finite, got {text!r}")
-    return lo, hi
+    # HI - LO can overflow, which makes values inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
+    if not np.isfinite(values).all():
+        raise _UsageError(f"--range values must be finite, got {text!r} in {steps} steps")
+    return values
 
 
 def _sweep_row(value, system):
@@ -362,8 +368,7 @@ def _cmd_sweep(args):
     # Bounded like a trajectory's records, before linspace allocates them.
     if not 1 <= args.steps <= simulate.MAX_RECORDS:
         raise _UsageError(f"--steps must be between 1 and {simulate.MAX_RECORDS}")
-    lo, hi = _parse_range(args.range)
-    values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
+    values = _sweep_values(args.range, args.steps)
     template = Template(text, token)
     rows = ["value,multipliers,lyapunov,verdict,oscillatory"]
     size = _sweep_block(template)

@@ -205,9 +205,9 @@ def floquet_exponents(X: np.ndarray, omega: float) -> SpectralData:
     return SpectralData(rho, exponents, exponents.real.copy(), spectrum)
 
 
-def _unit_band_semisimple(X, rho, band):
+def _unit_band_semisimple(X, rho):
     """True if every multiplier on the unit band is semisimple."""
-    on_band = [z for z in rho if abs(abs(z) - 1.0) <= band]
+    on_band = [z for z in rho if abs(abs(z) - 1.0) <= UNIT_BAND]
     scale = max(1.0, norm1(X))
     remaining = list(on_band)
     while remaining:
@@ -222,24 +222,18 @@ def _unit_band_semisimple(X, rho, band):
     return True
 
 
-def _periodic_power(X, tol, n_max):
-    """Smallest ``n <= n_max`` with ``norm1(X^n - I) <= tol``, or None."""
+def _periodic_power(X, tol):
+    """Smallest ``n <= N_MAX_DEFAULT`` with ``norm1(X^n - I) <= tol``, or None."""
     ident = np.eye(X.shape[0])
     Xn = ident
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX_DEFAULT + 1):
         Xn = Xn @ X
         if norm1(Xn - ident) <= tol:
             return n
     return None
 
 
-def classify(
-    multipliers: np.ndarray,
-    X: np.ndarray,
-    tol: float,
-    band: float = UNIT_BAND,
-    n_max: int = N_MAX_DEFAULT,
-) -> Verdict:
+def classify(multipliers: np.ndarray, X: np.ndarray, tol: float) -> Verdict:
     """Stability verdict from the multipliers and the monodromy matrix.
 
     Moduli strictly inside the unit circle give exponential decay; any
@@ -250,24 +244,24 @@ def classify(
     cover.
     """
     mods = np.abs(multipliers)
-    if np.any(mods > 1.0 + band):
+    if np.any(mods > 1.0 + UNIT_BAND):
         return Verdict(UNBOUNDED)
-    if np.all(mods < 1.0 - band):
+    if np.all(mods < 1.0 - UNIT_BAND):
         return Verdict(EXPONENTIALLY_STABLE)
-    n = _periodic_power(X, tol, max(n_max, 1))
+    n = _periodic_power(X, tol)
     if n == 1:
         return Verdict(PERIODIC_OMEGA)
     if n is not None:
         return Verdict(PERIODIC_N_OMEGA, n)
-    if _unit_band_semisimple(X, multipliers, band):
+    if _unit_band_semisimple(X, multipliers):
         return Verdict(BOUNDED_NON_PERIODIC)
     return Verdict(MARGINAL_DEFECTIVE)
 
 
-def is_oscillatory(multipliers: np.ndarray, atol: float = UNIT_BAND) -> bool:
+def is_oscillatory(multipliers: np.ndarray) -> bool:
     """Some exponent has a non-zero imaginary part (includes negative real
     multipliers, whose principal argument is pi)."""
-    return bool(np.any(np.abs(np.angle(multipliers)) > atol))
+    return bool(np.any(np.abs(np.angle(multipliers)) > UNIT_BAND))
 
 
 def floquet_P(X: np.ndarray, omega: float) -> np.ndarray:
@@ -498,10 +492,10 @@ def closed_form_diagonal(system: SystemSpec) -> DiagonalClosedForm:
     return DiagonalClosedForm(system, P, eta, int_a_period, int_a, j_entry)
 
 
-def periodic_solution_test(system: SystemSpec, n_max: int = N_MAX_DEFAULT):
-    """Smallest N <= n_max with ``X(omega)^N = I`` to the algebraic
+def periodic_solution_test(system: SystemSpec):
+    """Smallest N <= N_MAX_DEFAULT with ``X(omega)^N = I`` to the algebraic
     tolerance, or None."""
-    return _periodic_power(monodromy(system), system.tolerances.alg, n_max)
+    return _periodic_power(monodromy(system), system.tolerances.alg)
 
 
 @dataclass(frozen=True)
@@ -630,13 +624,13 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     return checks
 
 
-def _spectral_core(system, n_max=N_MAX_DEFAULT):
+def _spectral_core(system):
     """``(X, data, verdict, P, P_real)``: every step of ``analyze`` that can
     raise once the system has loaded.  ``P_real`` is None when the squared
     monodromy has no real logarithm."""
     X = monodromy(system)
     data = floquet_exponents(X, system.omega)
-    verdict = classify(data.multipliers, X, system.tolerances.alg, n_max=n_max)
+    verdict = classify(data.multipliers, X, system.tolerances.alg)
     P = _logm(X, data.spectrum) / system.omega
     try:
         P_real = _logm(X, data.spectrum, square=True) / (2.0 * system.omega)
@@ -645,12 +639,12 @@ def _spectral_core(system, n_max=N_MAX_DEFAULT):
     return X, data, verdict, P, P_real
 
 
-def analyze(system: SystemSpec, n_max: int = N_MAX_DEFAULT) -> FloquetReport:
+def analyze(system: SystemSpec) -> FloquetReport:
     """Monodromy, multipliers, exponents, generators (``floquet_P`` and
     ``floquet_P_real``, both from the one spectrum) and stability verdict,
     with the invertibility bounds and the generator roundtrip residual
     ``expm_p_roundtrip``, as ``verify`` checks it."""
-    X, data, verdict, P, P_real = _spectral_core(system, n_max)
+    X, data, verdict, P, P_real = _spectral_core(system)
     return FloquetReport(
         n=system.n,
         omega=system.omega,

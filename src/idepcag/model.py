@@ -135,22 +135,23 @@ class MatrixFunction:
                 out[i, j] = value
         return out
 
-    def periodicity_defect(self, samples: int = _PERIODICITY_SAMPLES) -> float:
-        """Max entrywise |eval(t + period) - eval(t)| over deterministic
-        samples; ``inf`` if any sampled value is not finite."""
-        return float(_defects(self, samples=samples)[0])
+    def periodicity_defect(self) -> float:
+        """Max entrywise |eval(t + period) - eval(t)| over
+        ``_PERIODICITY_SAMPLES`` deterministic samples; ``inf`` if any
+        sampled value is not finite."""
+        return float(_defects(self)[0])
 
 
-def _defects(mf, params=None, samples=_PERIODICITY_SAMPLES):
+def _defects(mf, params=None):
     """``MatrixFunction.periodicity_defect`` of ``mf`` at every value of the
     array ``params`` of its parameter, from one evaluation (at its own value
     when ``params`` is None)."""
     rng = np.random.default_rng(20240801)
-    ts = rng.uniform(0.0, mf.period, size=samples)
+    ts = rng.uniform(0.0, mf.period, size=_PERIODICITY_SAMPLES)
     param = None if params is None else np.asarray(params, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            now = mf._eval_many(ts, param).reshape(mf.n, mf.n, -1, samples)
+            now = mf._eval_many(ts, param).reshape(mf.n, mf.n, -1, _PERIODICITY_SAMPLES)
             later = mf._eval_many(ts + mf.period, param).reshape(now.shape)
         except OverflowError:  # a power of Python floats, where numpy gives inf
             return np.full(1 if params is None else len(params), math.inf)

@@ -154,13 +154,13 @@ def _magnus_pass(A, B, t0, t1, N, param=None):
     return U
 
 
-def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
+def _magnus(A, B, tol, t0, t1, scale, params):
     """Fixed-step Magnus integration of ``[[A, B], [0, 0]]`` over every
     segment ``[t0[i], t1[i]]`` (either direction): a list of ``(h, U, err)``,
     with ``U[k] = U(t0 + k h, t0)`` the node values of the accepted pass and
     ``err`` the estimate of ``U[-1]``'s error that accepted it.  ``scale``
-    is one value or one per segment; ``params``, one per segment, sets the
-    parameter of ``A`` and ``B`` (by default each keeps its own).
+    and ``params`` hold one value per segment: the factor on its tolerance,
+    and the parameter of ``A`` and ``B``.
 
     Each segment compares its last pass of ``N`` steps with a pass of
     ``M = r N`` steps on the nodes of the first; its error measure is the
@@ -178,18 +178,16 @@ def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
     segment's steps depend on its own gaps alone, so its result does not
     depend on the batch.
 
-    A non-finite node value, and a segment at ``_N_MAX`` steps that stays
-    open, fail the segment's row (``rows``, per segment; one row by
-    default): every segment of the row then holds, in place of its result,
-    the ``NumericalError`` the row's segments alone would raise first.
+    A segment whose pass has a non-finite node value, or that stays open at
+    ``_N_MAX`` steps, holds its ``NumericalError`` in place of its result;
+    the other segments go on.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
     size = t0.size
     atol, rtol = scale * tol.ode_abs, np.maximum(scale * tol.ode_rel, _RTOL_FLOOR)
-    per_segment = isinstance(scale, np.ndarray)
     # Against the (step, node) axes of the times of a pass.
-    param = None if params is None else params[:, None, None]
+    param = params[:, None, None]
 
     result = [None] * size
     # Per segment: the steps of its next pass, and the error measure and
@@ -205,75 +203,55 @@ def _magnus(A, B, tol, t0, t1, scale=1.0, params=None, rows=None):
             groups = {}
             for i in live:
                 groups.setdefault((len(last[i]) - 1, steps[i]), []).append(i)
-            failures = []  # (segment, 0 for a non-finite pass or 1 for _N_MAX, error)
             for (N, M), seg in groups.items():
                 idx = np.array(seg)
-                fine = _magnus_pass(A, B, t0[idx], t1[idx], M, None if param is None else param[idx])
-                finite = np.isfinite(fine).all(axis=(1, 2, 3))
-                if not finite.all():
-                    failures += [(i, 0, NumericalError(
-                        f"transition operator on [{float(t0[i])!r}, {float(t1[i])!r}] "
-                        "is not finite")) for i in idx[~finite]]
+                fine = _magnus_pass(A, B, t0[idx], t1[idx], M, param[idx])
                 r = M // N
                 on_nodes = fine[:, ::r]
                 gap = np.abs(on_nodes - np.stack([last[i] for i in seg])).max(axis=(2, 3))
-                a, b = (atol[idx, None], rtol[idx, None]) if per_segment else (atol, rtol)
-                bound = a + b * np.abs(on_nodes).max(axis=(2, 3))
-                for i, U, worst, node_gap in zip(seg, fine, (gap / bound).max(axis=1).tolist(),
-                                                 gap.max(axis=1).tolist()):
+                bound = atol[idx, None] + rtol[idx, None] * np.abs(on_nodes).max(axis=(2, 3))
+                for i, U, finite, worst, node_gap in zip(
+                        seg, fine, np.isfinite(fine).all(axis=(1, 2, 3)),
+                        (gap / bound).max(axis=1).tolist(), gap.max(axis=1).tolist()):
+                    if not finite:
+                        result[i] = NumericalError(
+                            f"transition operator on [{float(t0[i])!r}, {float(t1[i])!r}] "
+                            "is not finite")
+                        continue
                     # The rate shows when the measure fell by at least half
                     # of (r_before^6 - 1) / (1 - r^-6); NaN compares false.
                     rate = excess[i] >= 0.5 * (ratio[i] ** 6 - 1.0) / (1.0 - r**-6.0) * worst
                     factor = _SAFETY / (r**6 - 1.0) if rate else 1.0
                     if worst * factor <= 1.0:
                         result[i] = ((t1[i] - t0[i]) / M, U, factor * (last[i][-1] - U[-1]))
-                        continue
-                    if M >= _N_MAX:
-                        failures.append((i, 1, NumericalError(
+                    elif M >= _N_MAX:
+                        result[i] = NumericalError(
                             f"Magnus integration on [{float(t0[i])!r}, {float(t1[i])!r}] missed "
-                            f"its tolerance at {M} steps (node difference {node_gap:.3e})")))
-                        continue
-                    steps[i] = 2 * M
-                    if rate:
-                        # The estimate falls as M^-6: the least power of two
-                        # that brings it to 1.
-                        wanted = min(M * (worst * factor) ** (1.0 / 6.0), _N_MAX)
-                        steps[i] = max(2 * M, 2 ** math.ceil(math.log2(wanted)))
-                    excess[i], ratio[i], last[i] = worst, r, U
-            if failures:
-                rows = np.zeros(size, int) if rows is None else rows
-                for row, error in _first_failures(live, groups, failures, rows).items():
-                    for i in np.flatnonzero(rows == row):
-                        result[i] = error
+                            f"its tolerance at {M} steps (node difference {node_gap:.3e})")
+                    else:
+                        steps[i] = 2 * M
+                        if rate:
+                            # The estimate falls as M^-6: the least power of
+                            # two that brings it to 1.
+                            wanted = min(M * (worst * factor) ** (1.0 / 6.0), _N_MAX)
+                            steps[i] = max(2 * M, 2 ** math.ceil(math.log2(wanted)))
+                        excess[i], ratio[i], last[i] = worst, r, U
             live = [i for i in live if result[i] is None]
     return result
 
 
-def _first_failures(live, groups, failures, rows):
-    """Per row with a failure of this round of ``_magnus``, the error its
-    segments alone raise first: its groups in the order its live segments
-    first meet them, in a group a non-finite pass before a missed
-    tolerance, and segments in order."""
-    group_of = {i: key for key, seg in groups.items() for i in seg}
-    order = {}
-    for i in live:
-        seen = order.setdefault(rows[i], {})
-        seen.setdefault(group_of[i], len(seen))
-    first = {}
-    for i, kind, error in failures:
-        rank = (order[rows[i]][group_of[i]], kind, i)
-        if rows[i] not in first or rank < first[rows[i]][0]:
-            first[rows[i]] = (rank, error)
-    return {row: error for row, (_, error) in first.items()}
-
-
 def _fresh_flows(system, s, t):
     """``U(t_i, s_i)`` for every pair of ``s`` and ``t``, stacked, from one
-    fresh batched integration.  Each segment closes on its own, so its value
-    does not depend on the others; a zero-length segment gives exactly ``I``."""
-    flows = _magnus(system.A, system.B, system.tolerances, s, t)
-    if isinstance(flows[0], NumericalError):
-        raise flows[0]
+    fresh batched integration; the first segment that fails, in input order,
+    raises its ``NumericalError``.  Each segment closes on its own, so its
+    value does not depend on the others; a zero-length segment gives
+    exactly ``I``."""
+    size = len(s)
+    flows = _magnus(system.A, system.B, system.tolerances, s, t,
+                    np.ones(size), np.full(size, system.A.param))
+    for flow in flows:
+        if isinstance(flow, NumericalError):
+            raise flow
     return np.stack([U[-1] for _, U, _ in flows])
 
 
@@ -405,7 +383,8 @@ def _build_intervals(systems):
     ``[zeta_k, t_k]``.  The systems share their grid, tolerances and
     compiled coefficients, and differ at most in the value of the
     coefficients' parameter (``MatrixFunction.param``, one value for ``A``
-    and ``B``).
+    and ``B``).  A system whose branches fail raises the error of the first
+    of them in ``_branch_ends`` order.
 
     Each branch meets the tolerance at its own nodes, but ``X(omega)``
     multiplies the branch ends and inverts the left ones, which can scale
@@ -427,13 +406,14 @@ def _build_intervals(systems):
     while live.size:
         rows = live.repeat(len(ends))
         flows = _magnus(first.A, first.B, tol, zeta * len(live), end * len(live),
-                        scale[rows], params[rows], rows)
+                        scale[rows], params[rows])
         again = []
         for k, r in enumerate(live):
             branches = flows[k * len(ends):(k + 1) * len(ends)]
             try:
-                if isinstance(branches[0], NumericalError):
-                    raise branches[0]
+                for branch in branches:
+                    if isinstance(branch, NumericalError):
+                        raise branch
                 ops = _operators_from_branches(systems[r], dict(zip(ends, branches)))
                 top = np.stack([(U[-1, :n], U[-1, :n] + err[:n]) for _, U, err in branches])
                 X, moved = _monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])

@@ -228,6 +228,22 @@ def test_simulate_both_reports_discrepancy(tmp_path, capsys):
     assert float(line.rsplit(":", 1)[1]) <= 1e-7
 
 
+def test_simulate_direct_and_both_write_to_stdout(tmp_path, capsys):
+    args = ["simulate", _spec("rotation_2x2"), "--x0", "1,1", "--t-end", "2", "--dt-out", "0.5"]
+    assert main(args + ["--method", "both", "--out", str(tmp_path / "traj.csv")]) == 0
+    capsys.readouterr()
+    cauchy = (tmp_path / "traj_cauchy.csv").read_text()
+    direct = (tmp_path / "traj_direct.csv").read_text()
+    assert cauchy != direct
+    assert main(args + ["--method", "direct"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == direct and captured.err == ""
+    assert main(args + ["--method", "both"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cauchy + "\n" + direct
+    assert captured.err.startswith("max discrepancy cauchy vs direct: ")
+
+
 def test_simulate_complex_x0(capsys):
     code = main(["simulate", _spec("sin_impulse"), "--x0", "1+2i",
                  "--t-end", "1.0", "--dt-out", "0.5"])
@@ -380,6 +396,16 @@ def test_verify_json_format(capsys):
     assert any(c["name"] == "biperiodicity_e" for c in doc["checks"])
 
 
+def test_verify_csv_format(capsys):
+    assert main(["verify", _spec("sin_impulse"), "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert main(["verify", _spec("sin_impulse"), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "name,value,threshold,passed"
+    assert [line.split(",") for line in lines[1:]] == [
+        [c["name"], f"{c['value']:.12e}", f"{c['threshold']:.12e}", "true"] for c in checks]
+
+
 def test_verify_loose_tolerances_exit_4(tmp_path, capsys):
     # a valid document whose integrator budget is far too loose to meet
     # the residual thresholds
@@ -434,6 +460,19 @@ def test_sweep_non_finite_range_exit_1(capfd, bounds):
     out, err = capfd.readouterr()
     assert out == ""
     assert err == f"error: --range bounds must be finite, got {bounds!r}\n"
+
+
+def test_sweep_range_past_float_limit_exit_1():
+    # HI - LO overflows: linspace would give NaN, inf and 1e308.  Run apart,
+    # so a numpy RuntimeWarning would reach stderr.
+    src = Path(idepcag.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "idepcag", "sweep", _spec("scalar_table_template"),
+         "--param", "AC", "--range=-1e308:1e308", "--steps", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: --range values must be finite, got '-1e308:1e308' in 3 steps\n"
 
 
 def _trig_template(param_in_a):
@@ -644,6 +683,42 @@ def test_sweep_token_outside_expressions_loads_each_row(tmp_path, capsys, field,
     assert not all(row[3].startswith("Error:") for row in rows)
 
 
+@pytest.mark.parametrize("text, loads", [
+    # An escape decodes to another text than the one substituted.
+    (_trig_template(param_in_a=False).replace("(0.3)", "(0.3)\\u0020"), True),
+    ("[" + _trig_template(param_in_a=False) + "]", False),
+    # The token inside a string the document does not parse as an expression.
+    (_trig_doc(note="run $EPS"), True),
+], ids=["escape", "root_not_an_object", "token_in_another_string"])
+def test_sweep_template_the_parse_cannot_share_loads_each_row(tmp_path, capsys, text, loads):
+    rows, shared = _sweep_cells(tmp_path, capsys, text, "EPS", -1.0, 1.0, 3)
+    assert not shared
+    assert idepcag.model.Template(text, param_token("EPS")).shape is None
+    assert [row[3].startswith("Error:") for row in rows] == [not loads] * 3
+
+
+def _quarter_turn(b="0"):
+    """``A = 0`` and ``I + C_1`` turning by pi/2: ``X(omega)`` is that turn
+    exactly (with ``b = 0``), with multipliers exactly +-i."""
+    return json.dumps({
+        "n": 2, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["0", "0"], ["0", "0"]], "B": [[b, "0"], ["0", "0"]],
+        "impulses": [[[-1, -1], [1, -1]]],
+    })
+
+
+def test_quarter_turn_has_no_real_generator(tmp_path, capsys):
+    # X^2 = -I exactly: the principal logarithm is i pi I, which is not real.
+    code, report = _analyze_json(capsys, _write(tmp_path, "turn.json", _quarter_turn()))
+    assert code == 0
+    assert report["multipliers"] == [[0.0, -1.0], [0.0, 1.0]]
+    assert report["P_real"] is None and report["P"] is not None
+    assert report["verdict"] == "PeriodicNOmega(4)"
+    rows, shared = _sweep_cells(tmp_path, capsys, _quarter_turn("$EPS"), "EPS", 0.0, 1.0, 2)
+    assert shared
+    assert rows[0][3] == "PeriodicNOmega(4)"
+
+
 @pytest.mark.parametrize("entries, shares", [
     ({"A": [["-0.3 + $EPS^2*sin(2*pi*t)", "0.2*cos(2*pi*t)"], ["-0.1", "($EPS)^3 - 0.2"]]}, False),
     ({"B": [["2*$EPS", "0.3"], ["-$EPS*cos(2*pi*t)", "0.5 - $EPS + sin($EPS)"]]}, True),
@@ -672,6 +747,58 @@ def test_sweep_singular_anchor_next_to_good_rows(tmp_path, capsys):
     assert shared
     assert [row[3].startswith("Error: J(t_{k+1}; zeta_k) is singular") for row in rows] == \
         [False, False, True, False, False]
+
+
+def _two_failing_branches(scale):
+    """One interval anchored at 0.5 whose coefficient, times ``scale``, is
+    smooth on the second branch [0.5, 1] and oscillates fast on the first,
+    [0.5, 0] (the envelope is below 1e-12 on [0.5, 1])."""
+    oscillation = "cos(80*pi*t)*(0.5 + 0.5*cos(2*pi*(t - 0.25)))^40"
+    return json.dumps({
+        "n": 1, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.5],
+        "A": [[f"0.1*cos(2*pi*t) + {scale}*(20*sin(2*pi*t) + {oscillation})"]],
+        "B": [["0.2"]], "impulses": [[[0.1]]],
+        "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9},
+    })
+
+
+def test_system_reports_its_first_failed_branch(tmp_path, capsys, monkeypatch):
+    # Capped at 32 steps, the smooth second branch predicts past the cap
+    # and fails in the third round of passes; the first doubles and fails
+    # in the fourth.  The system reports the first branch's error.
+    monkeypatch.setattr(idepcag.transition, "_N_MAX", 32)
+    first = "Magnus integration on [0.5, 0.0] missed its tolerance at 32 steps"
+    passes = []
+    real_pass = idepcag.transition._magnus_pass
+
+    def spy(A, B, t0, t1, N, *param):
+        passes.append((t1.tolist(), N))
+        return real_pass(A, B, t0, t1, N, *param)
+
+    monkeypatch.setattr(idepcag.transition, "_magnus_pass", spy)
+    with pytest.raises(idepcag.NumericalError) as failed:
+        analyze(idepcag.load_system(_two_failing_branches("1")))
+    assert str(failed.value).startswith(first)
+    assert passes == [([0.0, 1.0], 2), ([0.0, 1.0], 4), ([0.0, 1.0], 8),
+                      ([0.0], 16), ([1.0], 32), ([0.0], 32)]
+    monkeypatch.setattr(idepcag.transition, "_magnus_pass", real_pass)
+
+    # As a sweep row next to a good row, and in a block of one.
+    text = _two_failing_branches("$EPS")
+    template = idepcag.model.Template(text, param_token("EPS"))
+    assert idepcag.cli._sweep_block(template) >= 2
+    rows, shared = _sweep_cells(tmp_path, capsys, text, "EPS", 0.0, 1.0, 2)
+    assert shared and rows[1][3].startswith("Error: " + first.replace(",", ";"))
+    assert not rows[0][3].startswith("Error:")
+    monkeypatch.setattr(idepcag.cli, "_sweep_block", lambda template: 1)
+    assert _sweep_cells(tmp_path, capsys, text, "EPS", 0.0, 1.0, 2)[0] == rows
+    # The good row's nodes are those of its document alone.
+    systems = template.load(np.array([0.0, 1.0]))
+    good, bad = idepcag.transition.build_operators(systems)
+    assert good is None and str(bad).startswith(first)
+    alone = idepcag.load_system(text.replace("$EPS", "0"))
+    for ops, ops_alone in zip(*map(idepcag.interval_operators, (systems[0], alone))):
+        assert ops._nodes.tobytes() == ops_alone._nodes.tobytes()
 
 
 def test_sweep_repeats_only_the_rows_whose_monodromy_needs_it(tmp_path, capsys, monkeypatch):

@@ -550,7 +550,7 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
     real_magnus = transition._magnus
 
     def counting(*args, **kwargs):
-        calls.append(args[3:])
+        calls.append(args[3:5])
         return real_magnus(*args, **kwargs)
 
     monkeypatch.setattr(transition, "_magnus", counting)

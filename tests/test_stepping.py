@@ -542,7 +542,8 @@ def test_raw_gap_rule_holds_until_the_rate_shows(monkeypatch):
     system = load_system(text)
     tol = system.tolerances
     recorded = _record_passes(monkeypatch)
-    (h, U, _), = transition._magnus(system.A, system.B, tol, [0.0], [1.0])
+    (h, U, _), = transition._magnus(system.A, system.B, tol, [0.0], [1.0],
+                                    np.ones(1), np.full(1, system.A.param))
     monkeypatch.undo()
     passes = [(N, V[0]) for N, V in recorded]
     steps = [N for N, _ in passes]
