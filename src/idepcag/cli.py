@@ -26,6 +26,7 @@ import numpy as np
 
 from .expressions import ExpressionSyntaxError, param_token
 from .floquet import (
+    _normal_form_residuals,
     _q_many,
     _spectral_core,
     analyze,
@@ -34,7 +35,6 @@ from .floquet import (
     is_oscillatory,
     monodromy,
     structural_residuals,
-    verify_normal_form,
 )
 from .linalg import NumericalError
 from .model import Template, ValidationError, load_system
@@ -239,7 +239,7 @@ def _cmd_factorize(args):
     X = monodromy(system)
     P = floquet_P_real(X, system.omega) if args.real else floquet_P(X, system.omega)
     factor = 2 if args.real else 1
-    residuals = verify_normal_form(system, P=P, real=args.real)
+    residuals = _normal_form_residuals(system, X, P, args.real)
     times = [i * factor * system.omega / args.samples for i in range(args.samples)]
     q_values = _q_many(system, P, times)
 

@@ -23,6 +23,7 @@ value of its parameter.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -56,7 +57,9 @@ class Expression:
         raise NotImplementedError
 
     def is_constant(self):
-        raise NotImplementedError
+        """Whether every operand subtree is constant: true of ``Const``,
+        false of ``Var`` and ``Param``."""
+        return all(kid.is_constant() for _, kid in _operands(self))
 
     def constant_value(self):
         """Value of a constant expression (only valid if ``is_constant()``)."""
@@ -71,6 +74,17 @@ class Expression:
         raise NotImplementedError
 
 
+def _operands(expr):
+    """``(field name, subtree)`` of every operand of the node ``expr``."""
+    return [(f.name, getattr(expr, f.name)) for f in fields(expr)
+            if isinstance(getattr(expr, f.name), Expression)]
+
+
+#: The only names compiled source can reach: the numpy functions the tree
+#: calls, each under ``_`` and its name in the grammar.
+SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
+
+
 # Precedence levels used for printing: sum < product < unary < power < atom.
 _P_SUM, _P_PROD, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
@@ -81,9 +95,6 @@ class Const(Expression):
 
     def evaluate(self, t):
         return self.value if np.isscalar(t) else np.full_like(np.asarray(t, dtype=float), self.value)
-
-    def is_constant(self):
-        return True
 
     def _format(self, parent_prec, python=False):
         if python and not math.isfinite(self.value):
@@ -127,51 +138,32 @@ class Param(Expression):
 
 
 @dataclass(frozen=True)
-class Add(Expression):
+class _Binary(Expression):
+    """``left op right``; a subclass names ``op``, its precedence ``prec``
+    and its ``symbol``, which are the same in the grammar and in source."""
+
     left: Expression
     right: Expression
 
     def evaluate(self, t):
-        return self.left.evaluate(t) + self.right.evaluate(t)
-
-    def is_constant(self):
-        return self.left.is_constant() and self.right.is_constant()
+        return self.op(self.left.evaluate(t), self.right.evaluate(t))
 
     def _format(self, parent_prec, python=False):
-        text = f"{self.left._format(_P_SUM, python)} + {self.right._format(_P_SUM + 1, python)}"
-        return f"({text})" if parent_prec > _P_SUM else text
+        text = (f"{self.left._format(self.prec, python)}{self.symbol}"
+                f"{self.right._format(self.prec + 1, python)}")
+        return f"({text})" if parent_prec > self.prec else text
 
 
-@dataclass(frozen=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
-
-    def evaluate(self, t):
-        return self.left.evaluate(t) - self.right.evaluate(t)
-
-    def is_constant(self):
-        return self.left.is_constant() and self.right.is_constant()
-
-    def _format(self, parent_prec, python=False):
-        text = f"{self.left._format(_P_SUM, python)} - {self.right._format(_P_SUM + 1, python)}"
-        return f"({text})" if parent_prec > _P_SUM else text
+class Add(_Binary):
+    op, prec, symbol = operator.add, _P_SUM, " + "
 
 
-@dataclass(frozen=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
+class Sub(_Binary):
+    op, prec, symbol = operator.sub, _P_SUM, " - "
 
-    def evaluate(self, t):
-        return self.left.evaluate(t) * self.right.evaluate(t)
 
-    def is_constant(self):
-        return self.left.is_constant() and self.right.is_constant()
-
-    def _format(self, parent_prec, python=False):
-        text = f"{self.left._format(_P_PROD, python)}*{self.right._format(_P_PROD + 1, python)}"
-        return f"({text})" if parent_prec > _P_PROD else text
+class Mul(_Binary):
+    op, prec, symbol = operator.mul, _P_PROD, "*"
 
 
 @dataclass(frozen=True)
@@ -180,9 +172,6 @@ class Neg(Expression):
 
     def evaluate(self, t):
         return -self.operand.evaluate(t)
-
-    def is_constant(self):
-        return self.operand.is_constant()
 
     def _format(self, parent_prec, python=False):
         text = f"-{self.operand._format(_P_UNARY, python)}"
@@ -197,9 +186,6 @@ class Pow(Expression):
     def evaluate(self, t):
         return self.base.evaluate(t) ** self.exponent
 
-    def is_constant(self):
-        return self.base.is_constant()
-
     def _format(self, parent_prec, python=False):
         op = " ** " if python else "^"
         text = f"{self.base._format(_P_POW + 1, python)}{op}{self.exponent}"
@@ -211,13 +197,10 @@ class Call(Expression):
     func: str  # sin | cos | exp
     arg: Expression
 
-    _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+    _FUNCS = {name[1:]: func for name, func in SOURCE_NAMES.items()}
 
     def evaluate(self, t):
         return self._FUNCS[self.func](self.arg.evaluate(t))
-
-    def is_constant(self):
-        return self.arg.is_constant()
 
     def _format(self, parent_prec, python=False):
         name = f"_{self.func}" if python else self.func
@@ -264,8 +247,13 @@ def _tokenize(text, token=None):
     return tokens
 
 
+# The binary operators of the grammar, with their precedence in ``prec``.
+_BINARY = {"+": Add, "-": Sub, "*": Mul}
+
+
 class _Parser:
-    """Recursive descent over the token list; standard precedence."""
+    """Recursive descent over the token list; binary operators by precedence
+    (``binary``)."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -287,32 +275,29 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        expr = self.sum()
+        expr = self.binary()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
         return expr
 
-    def sum(self):
-        expr = self.product()
+    def binary(self):
+        """Unary operands joined by the operators of ``_BINARY``, on a
+        stack: before an operator is pushed, every stacked one of at least
+        its precedence is applied, so ``+ - *`` associate left and ``*``
+        binds tighter."""
+        operands, ops = [self.unary()], []
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                right = self.product()
-                expr = Add(expr, right) if value == "+" else Sub(expr, right)
-            else:
-                return expr
-
-    def product(self):
-        expr = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                expr = Mul(expr, self.unary())
-            else:
-                return expr
+            node = _BINARY.get(value) if kind == "op" else None
+            while ops and (node is None or ops[-1].prec >= node.prec):
+                right = operands.pop()
+                operands.append(ops.pop()(operands.pop(), right))
+            if node is None:
+                return operands[0]
+            self.advance()
+            ops.append(node)
+            operands.append(self.unary())
 
     def unary(self):
         kind, value, _ = self.peek()
@@ -369,12 +354,12 @@ class _Parser:
                 return Const(math.pi)
             if value in Call._FUNCS:
                 self.expect_op("(")
-                arg = self.sum()
+                arg = self.binary()
                 self.expect_op(")")
                 return Call(value, arg)
             raise ExpressionSyntaxError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            expr = self.sum()
+            expr = self.binary()
             self.expect_op(")")
             return expr
         raise ExpressionSyntaxError(
@@ -428,11 +413,6 @@ def to_source(expr: Expression) -> str:
     return expr._format(0, python=True)
 
 
-#: The only names compiled source can reach: the numpy functions the tree
-#: calls.
-SOURCE_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp}
-
-
 def compile_lambda(body: str):
     """Compile ``lambda t, p: <body>``, with ``body`` assembled from
     ``to_source`` output, against ``SOURCE_NAMES`` and no builtins."""
@@ -446,8 +426,7 @@ def binder(expr: Expression):
     rebuilds only the nodes on the paths to the parameter."""
     if isinstance(expr, Param):
         return lambda v: Const(float(v))
-    kids = [(f.name, binder(getattr(expr, f.name))) for f in fields(expr)
-            if isinstance(getattr(expr, f.name), Expression)]
+    kids = [(name, binder(kid)) for name, kid in _operands(expr)]
     kids = [(name, bind) for name, bind in kids if bind is not None]
     if not kids:
         return None

@@ -308,10 +308,6 @@ _FD_STEP = 1e-5
 _Q_SAMPLES = 4
 
 
-def _fd5(f, t, h):
-    return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
-
-
 def _interior_samples(system, per_interval):
     """Sample times inside each base interval, clear of the breakpoints."""
     grid = system.grid
@@ -362,16 +358,16 @@ def _normal_form_residuals(system, X_omega, P, real):
     _, ms, js = grid.locate(times)
     args = np.asarray(grid.args)
     gammas = args[js] + ms * omega
-    # Column c of the stencil, t + (c - 2) h, is bitwise the time _fd5 reads
-    # (t - 2 h is t + (-2 h)), so _fd5 finds every read in its row.
+    # Column c of the stencil is t + (c - 2) h, so Q' is the five-point
+    # central difference of its columns.
     stencil = times[:, None] + np.arange(-2, 3) * h
     # An anchor at its interval's right end is read before that breakpoint's
     # impulse: the equation needs the left limit there.
     left = np.concatenate((np.zeros(stencil.size, bool), args[js] == np.asarray(grid.times)[js + 1]))
     Q = _q_many(system, P, np.concatenate((stencil.ravel(), gammas)), left)
     Q_stencil, Q_gammas = Q[:stencil.size].reshape(stencil.shape + Q.shape[1:]), Q[stencil.size:]
-    rows = np.arange(len(ts))
-    dQs = _fd5(lambda s: Q_stencil[rows, np.argmax(stencil == s[:, None], axis=1)], times, h)
+    dQs = ((Q_stencil[:, 0] - 8.0 * Q_stencil[:, 1] + 8.0 * Q_stencil[:, 3] - Q_stencil[:, 4])
+           / (12.0 * h))
 
     q_resid, q_scale = 0.0, 1.0
     lags = _expm_many(P * (gammas - times)[:, None, None])

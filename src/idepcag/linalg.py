@@ -1,10 +1,11 @@
 """Dense complex matrix kernel: inverses, spectra, expm, principal logm.
 
-Matrices are plain ``numpy.ndarray``s (real or complex, square).  LU-based
-inversion, the eigensolver and the logarithm of defective
-matrices come from LAPACK via numpy/scipy; the exponential is a stacked
-Taylor kernel shared with the transition layer.  The branch, pivot and
-spectral-order policies that the Floquet normal form relies on live here.
+Matrices are plain ``numpy.ndarray``s (real or complex, square).  Every
+inverse and solve goes through one LU (LAPACK ``getrf``/``getrs``); the
+eigensolver and the logarithm of defective matrices come from LAPACK via
+numpy/scipy; the exponential is a stacked Taylor kernel shared with the
+transition layer.  The branch, pivot and spectral-order policies that the
+Floquet normal form relies on live here.
 
 Eigenvalues are always reported sorted by descending modulus, then
 ascending argument, so downstream reports are deterministic.
@@ -13,7 +14,6 @@ ascending argument, so downstream reports are deterministic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,40 +69,31 @@ def _square(M):
 _PIVOT_RTOL = 1e-14
 
 
-def _lu(M):
-    with warnings.catch_warnings():
-        # singularity is handled below, not by scipy's warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= _PIVOT_RTOL * max(norm1(M), 1e-300):
-        raise SingularMatrixError(
-            f"matrix singular to tolerance (min pivot {diag.min():.3e})"
-        )
-    return lu, piv
-
-
-def inv(M):
-    """Inverse by LU with partial pivoting.
+def solve(M, B):
+    """Solve ``M @ X = B`` by LU with partial pivoting: LAPACK ``getrf`` and
+    ``getrs`` (the routines behind ``scipy.linalg.lu_factor`` and
+    ``lu_solve``) in the common type of ``M`` and ``B``.
 
     Raises
     ------
     SingularMatrixError
         If some pivot falls below ``1e-14 * norm1(M)``.
     """
-    M = _square(M)
-    lu, piv = _lu(M)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(M.shape[0], dtype=M.dtype), check_finite=False)
+    M, B = _square(M), np.asarray(B)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (M, B))
+    lu, piv, _ = getrf(M)
+    diag = np.abs(np.diag(lu))
+    if diag.min() <= _PIVOT_RTOL * max(norm1(M), 1e-300):
+        raise SingularMatrixError(
+            f"matrix singular to tolerance (min pivot {diag.min():.3e})"
+        )
+    return getrs(lu, piv, B)[0]
 
 
-def solve(M, B):
-    """Solve ``M @ X = B`` with the same pivot-tolerance policy as ``inv``."""
+def inv(M):
+    """Inverse: ``solve(M, I)``, so the same LU and pivot rule."""
     M = _square(M)
-    B = np.asarray(B)
-    if np.iscomplexobj(B) and not np.iscomplexobj(M):
-        M = M.astype(complex)
-    lu, piv = _lu(M)
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    return solve(M, np.eye(M.shape[0], dtype=M.dtype))
 
 
 @dataclass(frozen=True)
@@ -208,6 +199,9 @@ _EIG_COND_SWITCH = 1e8
 # Eigenvalues of a defective matrix are accurate to about sqrt(eps) relative,
 # so an eigenvalue this close to the negative real axis may lie on it.
 _CUT_RTOL = 1e-6
+# A squared eigenvalue rho^2 this many eps cond(V) norm1(M) |rho| from the
+# negative real axis may lie on it (see _logm): 2 for the square, 4 to spare.
+_CUT_ROUNDOFF = 8.0
 _REALIFY_ATOL = 1e-9
 
 
@@ -218,13 +212,27 @@ def _logm(M, spec, square=False):
     (condition number at most 1e8), which stays exact when ``M`` has both
     ``rho`` and ``-rho``; otherwise (defective or nearly defective ``M``)
     ``scipy.linalg.logm``, the inverse scaling-and-squaring algorithm of
-    Al-Mohy & Higham (2012)."""
+    Al-Mohy & Higham (2012).
+
+    Each ``rho_j`` on the closed negative real axis takes ``Log`` ``+i pi``
+    on that axis.  When ``square``, a ``rho_j^2`` counts as on the axis
+    while its imaginary part is within ``_CUT_ROUNDOFF eps cond(V)
+    norm1(M) |rho_j|``: Bauer-Fike bounds the error of an eigenvalue by
+    ``cond(V)`` times that of ``M``, about ``eps norm1(M)``, and squaring
+    scales it by ``2 |rho_j|``.  So a pair of multipliers within roundoff of
+    the imaginary axis has no real log, whichever side roundoff put them on.
+    """
     _require_invertible(M, spec)
     rho = spec.eigenvalues * spec.eigenvalues if square else spec.eigenvalues
     if spec.condition_estimate <= _EIG_COND_SWITCH:
         V = spec.eigenvectors
-        # +0.0j on the real axis, so Log(-1) is +i pi, not -i pi
-        L = V @ np.diag(np.log(np.where(rho.imag == 0.0, rho.real + 0j, rho))) @ inv(V)
+        on_cut = rho.imag == 0.0
+        if square:
+            roundoff = (_CUT_ROUNDOFF * np.finfo(float).eps * spec.condition_estimate
+                        * norm1(M) * np.abs(spec.eigenvalues))
+            on_cut |= (rho.real < 0) & (np.abs(rho.imag) <= roundoff)
+        # +0.0j on the axis, so Log(-1) is +i pi, not -i pi
+        L = V @ np.diag(np.log(np.where(on_cut, rho.real + 0j, rho))) @ inv(V)
     elif np.any((rho.real < 0) & (np.abs(rho.imag) <= _CUT_RTOL * np.abs(rho))):
         raise ConvergenceError(
             "no principal logarithm: defective matrix with an eigenvalue on "
@@ -265,8 +273,8 @@ def logm_real_doubled(M):
 
     The principal log of ``M^2`` from the spectrum of ``M``, with an
     imaginary residue below 1e-9 stripped; a larger residue (which occurs
-    when ``M`` has a purely imaginary eigenvalue pair, so ``M^2`` has
-    negative real eigenvalues) raises ``RealificationError``.
+    when ``M`` has an eigenvalue pair on the imaginary axis, to roundoff,
+    so ``M^2`` has negative real eigenvalues) raises ``RealificationError``.
     """
     M = _square(M)
     if np.iscomplexobj(M) and np.abs(M.imag).max() > 0.0:

@@ -13,9 +13,9 @@ import math
 __all__ = ["canonical_json"]
 
 
-def _render(value, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(value, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -35,19 +35,20 @@ def _render(value, indent, level):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_render(v, indent, level + 1) for v in value]
+        items = [_render(v, level + 1) for v in value]
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+            f"{json.dumps(str(k))}: {_render(v, level + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def canonical_json(value, indent: int = 2) -> str:
-    """Serialize plain data deterministically; returns text ending in \\n."""
-    return _render(value, indent, 0) + "\n"
+def canonical_json(value) -> str:
+    """Serialize plain data deterministically, indented by two spaces per
+    level; returns text ending in \\n."""
+    return _render(value, 0) + "\n"

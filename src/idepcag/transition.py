@@ -366,13 +366,14 @@ def node_bound(n, grid):
 def _monodromy_from_ends(system, ends, E):
     """``X(omega)`` assembled from ``E[i] = E(end, zeta_k)`` of the branches
     ``ends[i] = (k, end)``, one impulse and ``E_right E_left^-1`` per base
-    interval; further leading axes of ``E`` are carried through."""
+    interval; ``E_left`` is inverted by ``linalg.inv``, so a left end
+    singular to its pivot rule raises ``SingularMatrixError``."""
     n, grid = system.n, system.grid
     E = dict(zip(ends, E))
     X = np.eye(n)
     for j in range(system.p):
         E_left, E_right = (E.get((j, t), np.eye(n)) for t in grid.times[j:j + 2])
-        X = system.impulse_factor(j + 1) @ (E_right @ np.linalg.inv(E_left)) @ X
+        X = system.impulse_factor(j + 1) @ (E_right @ inv(E_left)) @ X
     return X
 
 
@@ -415,8 +416,10 @@ def _build_intervals(systems):
                     if isinstance(branch, NumericalError):
                         raise branch
                 ops = _operators_from_branches(systems[r], dict(zip(ends, branches)))
-                top = np.stack([(U[-1, :n], U[-1, :n] + err[:n]) for _, U, err in branches])
-                X, moved = _monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])
+                tops = np.stack([U[-1, :n] for _, U, _ in branches])
+                errs = np.stack([err[:n] for _, _, err in branches])
+                X, moved = (_monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])
+                            for top in (tops, tops + errs))
             except NumericalError as exc:
                 out[r] = exc
                 continue

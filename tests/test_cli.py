@@ -267,6 +267,11 @@ def test_simulate_x0_dimension_mismatch(capsys):
                  "--t-end", "1"]) == 1
 
 
+def test_simulate_unparsable_x0_exit_1(capsys):
+    assert main(["simulate", _spec("rotation_2x2"), "--x0=1,abc", "--t-end", "1"]) == 1
+    assert capsys.readouterr().err == "error: cannot parse complex number 'abc'\n"
+
+
 @pytest.mark.parametrize("method", ["cauchy", "direct", "both"])
 @pytest.mark.parametrize("x0", ["nan,0", "1e400,0", "inf,0", "0,-infi", "1,nan+2i"])
 def test_simulate_non_finite_x0_exit_1(capsys, method, x0):
@@ -717,6 +722,36 @@ def test_quarter_turn_has_no_real_generator(tmp_path, capsys):
     rows, shared = _sweep_cells(tmp_path, capsys, _quarter_turn("$EPS"), "EPS", 0.0, 1.0, 2)
     assert shared
     assert rows[0][3] == "PeriodicNOmega(4)"
+
+
+def _turn_by_the_flow(angle):
+    """``A = angle J`` over ``omega = 1`` with no impulse and ``B = 0``:
+    ``X(omega)`` turns by ``angle``, with multipliers ``exp(-+i angle)``."""
+    return json.dumps({
+        "n": 2, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["0", f"-({angle})"], [angle, "0"]], "B": [["0", "0"], ["0", "0"]],
+        "impulses": [[[0, 0], [0, 0]]],
+    })
+
+
+@pytest.mark.parametrize("text, real", [
+    (_quarter_turn(), False),
+    (_turn_by_the_flow("0.5*pi"), False),
+    (_turn_by_the_flow("0.5*pi - 0.000001"), True),
+], ids=["impulse", "flow", "flow-short"])
+def test_real_generator_of_turns_near_a_quarter(tmp_path, capsys, text, real):
+    # The flow's quarter turn has multipliers 8.3e-17 -+ 1.0i, whose squares
+    # sit within roundoff of -1: no real generator, as for the impulse's
+    # exact +-i.  1e-6 short of the quarter, the squares are 2e-6 off the
+    # negative real axis, and there is one.
+    path = _write(tmp_path, "turn.json", text)
+    code, report = _analyze_json(capsys, path)
+    assert code == 0
+    assert (report["P_real"] is not None) == real and report["P"] is not None
+    assert main(["factorize", path, "--real"]) == (0 if real else 3)
+    err = capsys.readouterr().err
+    if not real:
+        assert err.startswith("numerical failure: principal log of the squared matrix is not real")
 
 
 @pytest.mark.parametrize("entries, shares", [

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from idepcag.expressions import ExpressionSyntaxError, parse_expression
+from idepcag.expressions import (Add, Const, ExpressionSyntaxError, Mul, Neg, Pow, Sub, Var,
+                                 param_token, parse_expression)
 
 
 def test_sin_paper_entry():
@@ -77,6 +78,30 @@ def test_constant_detection():
     assert parse_expression("sin(2)").is_constant()
     assert not parse_expression("sin(t)").is_constant()
     assert parse_expression("0").constant_value() == 0.0
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("-(2^3) + cos(1)*(2 + -pi)", True),
+    ("2 - t*1", False),
+    ("exp(-t^0)", False),
+    ("1 + $EPS", False),
+])
+def test_constant_detection_reads_every_operand(text, constant):
+    assert parse_expression(text, param_token("EPS")).is_constant() is constant
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("+t", Var()),
+    ("-+t", Neg(Var())),
+    ("+-t^2", Neg(Pow(Var(), 2))),
+    ("1 - 2 - t", Sub(Sub(Const(1.0), Const(2.0)), Var())),
+    ("1 + 2*t*3 - t", Sub(Add(Const(1.0), Mul(Mul(Const(2.0), Var()), Const(3.0))), Var())),
+    ("t*2 + 1*-t", Add(Mul(Var(), Const(2.0)), Mul(Const(1.0), Neg(Var())))),
+])
+def test_operators_associate_left_with_product_tighter(text, tree):
+    expr = parse_expression(text)
+    assert expr == tree
+    assert parse_expression(str(expr)) == tree
 
 
 def _random_expression(rng, depth):

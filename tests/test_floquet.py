@@ -37,7 +37,8 @@ from idepcag import (
     structural_residuals,
     verify_normal_form,
 )
-from conftest import constant_doc
+from idepcag.linalg import NumericalError
+from conftest import constant_doc, scalar_doc
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,6 +73,11 @@ def test_cauchy_left_limits_power_law(sin_system):
 def test_cauchy_rejects_negative_time(scalar_system):
     with pytest.raises(ValueError):
         cauchy_matrix(scalar_system, -0.1)
+
+
+def test_cauchy_left_limit_rejects_time_zero(scalar_system):
+    with pytest.raises(ValueError, match="left limits exist for t > 0 only"):
+        cauchy_matrix_left(scalar_system, 0.0)
 
 
 # -------------------------------------------------------------- monodromy
@@ -331,6 +337,16 @@ def test_diagonal_oracle_q_samples(sin_nonimpulsive):
     for t in (0.2, 0.6, 1.1):
         expected = 1.0 + (1.0 - math.cos(2.0 * math.pi * t)) / (2.0 * math.pi)
         assert closed.Q(t)[0, 0] == pytest.approx(expected, abs=1e-10)
+
+
+def test_diagonal_oracle_vanishing_anchor_raises():
+    # x' = -x(0) on [0, 1]: J(1, 0) = 1 - 1 = 0, which the operator build
+    # refuses too.
+    system = load_system(scalar_doc(0.0, 2.0))
+    with pytest.raises(NumericalError, match="vanishing anchor on interval 0"):
+        closed_form_diagonal(system)
+    with pytest.raises(NumericalError, match="J\\(t_\\{k\\+1\\}, zeta_k\\) is singular"):
+        monodromy(system)
 
 
 def test_diagonal_oracle_no_forcing():

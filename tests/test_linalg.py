@@ -56,6 +56,35 @@ def test_inv_singular_raises():
         inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_inv_pivot_rule_bound():
+    # The rule refuses a pivot at most 1e-14 norm1(M): 1e-15 is below it,
+    # 1e-13 above.
+    with pytest.raises(SingularMatrixError, match="min pivot 1.000e-15"):
+        inv(np.diag([1.0, 1e-15]))
+    assert np.array_equal(inv(np.diag([1.0, 1e-13])), np.diag([1.0, 1e13]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_inv_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        inv(np.ones(shape))
+
+
+def test_inv_and_solve_have_the_bits_of_lu_factor_and_lu_solve():
+    # One getrf/getrs pair is what scipy's lu_factor/lu_solve run; a real M
+    # with a complex right-hand side is factored in complex arithmetic.
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for complex_entries in (False, True):
+            M = _random_matrix(rng, n, complex_entries, scale=10.0 ** rng.uniform(-3, 3))
+            lu = scipy.linalg.lu_factor(M)
+            assert np.array_equal(inv(M), scipy.linalg.lu_solve(lu, np.eye(n, dtype=M.dtype)))
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M.astype(complex)), b)
+            assert np.array_equal(la.solve(M, b), ref)
+            assert np.array_equal(la.solve(M, b.real), scipy.linalg.lu_solve(lu, b.real))
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -295,6 +324,22 @@ def test_real_doubled_quarter_turn_reports_defect():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(RealificationError):
         logm_real_doubled(R)
+
+
+@pytest.mark.parametrize("theta, real", [(0.5 * math.pi, False), (0.5 * math.pi - 1e-6, True)])
+def test_real_doubled_turn_near_a_quarter(theta, real):
+    # cos(pi/2) is 6.1e-17, so the quarter turn's eigenvalues are 6.1e-17
+    # +- i and their squares -1 -+ 1.2e-16 i: within roundoff of the negative
+    # real axis, where no real log exists.  A turn 1e-6 short of it puts
+    # the squares 2e-6 off the axis, and has one.
+    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    if not real:
+        with pytest.raises(RealificationError):
+            logm_real_doubled(R)
+        return
+    L = logm_real_doubled(R)
+    assert L.dtype.kind == "f"
+    assert norm1(expm(L) - R @ R) <= 1e-12
 
 
 def test_real_doubled_opposite_eigenvalues_match_scipy():

@@ -203,6 +203,9 @@ def test_overlong_expression_is_a_validation_error():
     ({"tolerances": {"ode_abs": math.inf, "ode_rel": math.inf}}, "tolerances.ode_abs"),
     ({"tolerances": {"alg": -1e-9}}, "tolerances.alg"),
     ({"omega": 10**400, "times": [0.0, 1.0]}, "omega"),
+    ({"p": 0}, "p"),
+    ({"args": [0.0, 0.5]}, "args"),
+    ({"impulses": [[[math.nan]]]}, "impulses[0]"),
 ])
 def test_non_numeric_grid_and_tolerance_values_are_validation_errors(overrides, path):
     with pytest.raises(ValidationError) as info:

@@ -93,6 +93,13 @@ def test_direct_matches_cauchy_scalar(scalar_system):
     assert max_discrepancy(a, b) <= 1e-10 * 6.0
 
 
+def test_discrepancy_needs_one_schedule(scalar_system):
+    a = solve_cauchy(scalar_system, [6.0], 5.0, 0.25)
+    b = solve_cauchy(scalar_system, [6.0], 5.0, 0.5)
+    with pytest.raises(ValueError, match="different schedules"):
+        max_discrepancy(a, b)
+
+
 def test_direct_matches_cauchy_all_bundled(scalar_system, sin_system, rotation_system, my_system):
     for system in (scalar_system, sin_system, rotation_system, my_system):
         x0 = np.ones(system.n)

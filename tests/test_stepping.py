@@ -39,7 +39,6 @@ from idepcag.floquet import (
     _FD_STEP,
     NormalFormResiduals,
     _cauchy_many,
-    _fd5,
     _interior_samples,
     _quad_signed,
 )
@@ -65,6 +64,10 @@ def test_multipliers_within_1e10_of_rk45(name):
     expected = np.array(RK45_MULTIPLIERS[name])
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected))
+
+
+def _fd5(f, t, h):
+    return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
 
 
 def _reference_verify_normal_form(system, P=None, samples=4, real=False):

@@ -431,6 +431,28 @@ def test_located_kinks_close_in_few_levels(monkeypatch, rows, expected):
     assert len(calls) <= 4
 
 
+def test_kink_search_cut_short_still_meets_the_goal(monkeypatch):
+    # One Illinois step leaves every bracket open: each kink is then the
+    # bracket's point of smaller value, and the refinement closes the rest.
+    monkeypatch.setattr(transition, "_KINK_ITER", 1)
+    searches = []
+    locate = transition._locate_kinks
+
+    def spy(matfun, a, b, *rest):
+        roots = locate(matfun, a, b, *rest)
+        searches.append((a, b, roots))
+        return roots
+
+    monkeypatch.setattr(transition, "_locate_kinks", spy)
+    system = load_system(_doc([["cos(2*pi*t)", "0"], ["0", "sin(2*pi*t)"]], args=(0.3,)))
+    got = transition._norm_integrals(system.A, "A", _halves(system))
+    expected = [_SWITCH_FIRST, 2.0 * math.sqrt(2.0) / math.pi - _SWITCH_FIRST]
+    assert all(_within_goal(g, e) for g, e in zip(got, expected)), (got, expected)
+    assert searches
+    for a, b, roots in searches:
+        assert np.all((np.minimum(a, b) <= roots) & (roots <= np.maximum(a, b)))
+
+
 @pytest.mark.parametrize("delta", np.logspace(-12, -4, 9))
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_end_cell_switch_bound_covers_the_rule_error(side, delta):
