@@ -174,7 +174,7 @@ def _refined_monodromy(system):
             top[on] = _magnus_pass(system.A, system.B, zeta[on], end[on], 2 * N)[:, -1, :n]
     if not np.isfinite(top).all():
         return np.full((n, n), np.inf)
-    return _monodromy_from_ends(system, ends, _phi_j_e(top, n)[2])
+    return _monodromy_from_ends(system, ends, top[..., :n] + top[..., n:])
 
 
 @dataclass(frozen=True)
@@ -309,21 +309,26 @@ _Q_SAMPLES = 4
 
 
 def _interior_samples(system, per_interval):
-    """Sample times inside each base interval, clear of the breakpoints."""
-    grid = system.grid
-    out = []
-    for j in range(system.p):
-        left, right = grid.times[j], grid.times[j + 1]
-        margin = max(4.0 * _FD_STEP, 0.02 * (right - left))
-        fracs = np.linspace(0.0, 1.0, per_interval + 2)[1:-1]
-        for f in fracs:
-            out.append(left + margin + f * (right - left - 2.0 * margin))
-    return tuple(out)
+    """``(times, js, steps)``: ``per_interval`` times in each base interval
+    ``j``, evenly spaced between margins of 2% of its width, their ``j`` and
+    their steps ``min(_FD_STEP, width / 400)``: each stencil ``t +- 2 step``
+    lies inside its interval, at least 1.5% of the width from either end."""
+    times = np.asarray(system.grid.times)
+    left, width = times[:-1], np.diff(times)
+    margin = 0.02 * width
+    fracs = np.linspace(0.0, 1.0, per_interval + 2)[1:-1]
+    samples = (left + margin)[:, None] + fracs * (width - 2.0 * margin)[:, None]
+    return (samples.ravel(), np.arange(system.p).repeat(per_interval),
+            np.minimum(_FD_STEP, width / 400.0).repeat(per_interval))
 
 
 def _roundtrip(P, X, omega, factor=1):
-    """Relative residual of ``expm(factor omega P) = X^factor``."""
-    X_factor = np.linalg.matrix_power(X, factor)
+    """Relative residual of ``expm(factor omega P) = X^factor``; raises
+    ``NumericalError`` when ``X^factor`` leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X_factor = np.linalg.matrix_power(X, factor)
+    if not np.isfinite(X_factor).all():
+        raise NumericalError(f"X(omega)^{factor} is not finite: it leaves the float range")
     return norm1(expm(P * (factor * omega)) - X_factor) / max(1.0, norm1(X_factor))
 
 
@@ -339,44 +344,43 @@ def verify_normal_form(
 
         Q' = A Q - Q P + B Q(gamma) exp(P (gamma - t)).
 
-    Report-only: nothing raises on a large residual.  ``Q`` is read in one
+    Report-only: nothing raises on a large residual, only on an
+    ``X(omega)^factor`` past the float range.  ``Q`` is read in one
     ``_q_many`` call at every stencil point and every anchor.
     """
     return _normal_form_residuals(system, monodromy(system), P, real)
 
 
 def _normal_form_residuals(system, X_omega, P, real):
-    """``verify_normal_form`` of ``system``, whose monodromy is ``X_omega``."""
+    """``verify_normal_form`` of ``system``, whose monodromy is ``X_omega``,
+    at the samples and steps of ``_interior_samples``."""
     omega = system.omega
     if P is None:
         P = floquet_P_real(X_omega, omega) if real else floquet_P(X_omega, omega)
     factor = 2 if real else 1
-    ts = _interior_samples(system, _Q_SAMPLES)
-    h = _FD_STEP
+    ts, js, h = _interior_samples(system, _Q_SAMPLES)
     grid = system.grid
-    times = np.array(ts)
-    _, ms, js = grid.locate(times)
-    args = np.asarray(grid.args)
-    gammas = args[js] + ms * omega
+    gammas = np.asarray(grid.args)[js]
     # Column c of the stencil is t + (c - 2) h, so Q' is the five-point
     # central difference of its columns.
-    stencil = times[:, None] + np.arange(-2, 3) * h
+    stencil = ts[:, None] + np.arange(-2, 3) * h[:, None]
     # An anchor at its interval's right end is read before that breakpoint's
     # impulse: the equation needs the left limit there.
-    left = np.concatenate((np.zeros(stencil.size, bool), args[js] == np.asarray(grid.times)[js + 1]))
+    left = np.concatenate((np.zeros(stencil.size, bool), gammas == np.asarray(grid.times)[js + 1]))
     Q = _q_many(system, P, np.concatenate((stencil.ravel(), gammas)), left)
     Q_stencil, Q_gammas = Q[:stencil.size].reshape(stencil.shape + Q.shape[1:]), Q[stencil.size:]
     dQs = ((Q_stencil[:, 0] - 8.0 * Q_stencil[:, 1] + 8.0 * Q_stencil[:, 3] - Q_stencil[:, 4])
-           / (12.0 * h))
+           / (12.0 * h)[:, None, None])
 
     q_resid, q_scale = 0.0, 1.0
-    lags = _expm_many(P * (gammas - times)[:, None, None])
+    lags = _expm_many(P * (gammas - ts)[:, None, None])
     for t, Q_t, dQ, q_gamma, lag in zip(ts, Q_stencil[:, 2], dQs, Q_gammas, lags):
         rhs = system.A.eval(t) @ Q_t - Q_t @ P + system.B.eval(t) @ q_gamma @ lag
         q_resid = max(q_resid, norm1(dQ - rhs))
         q_scale = max(q_scale, norm1(rhs))
 
-    return NormalFormResiduals(factor, _roundtrip(P, X_omega, omega, factor), q_resid, q_scale, ts)
+    return NormalFormResiduals(factor, _roundtrip(P, X_omega, omega, factor), q_resid, q_scale,
+                              tuple(ts))
 
 
 def _quad_signed(f, lo, hi, **kw):

@@ -203,6 +203,10 @@ _CUT_RTOL = 1e-6
 # negative real axis may lie on it (see _logm): 2 for the square, 4 to spare.
 _CUT_ROUNDOFF = 8.0
 _REALIFY_ATOL = 1e-9
+# _logm squares a matrix of 1-norm below 2^_SQUARE_EXP: every entry and
+# partial sum of the square, and every rho^2, is at most that norm squared,
+# below 2^1022, a quarter of the float range.
+_SQUARE_EXP = 511
 
 
 def _logm(M, spec, square=False):
@@ -221,15 +225,24 @@ def _logm(M, spec, square=False):
     ``cond(V)`` times that of ``M``, about ``eps norm1(M)``, and squaring
     scales it by ``2 |rho_j|``.  So a pair of multipliers within roundoff of
     the imaginary axis has no real log, whichever side roundoff put them on.
+
+    When ``square``, ``M`` and ``rho_j`` are first divided by ``2^k``, the
+    least ``k >= 0`` that brings ``norm1(M)`` below ``2^_SQUARE_EXP``, and
+    ``2 k ln 2 I`` is added to the log of the square: so ``M @ M`` and
+    ``rho_j^2`` stay finite while ``M`` is, and at ``k = 0`` no bit moves.
     """
     _require_invertible(M, spec)
-    rho = spec.eigenvalues * spec.eigenvalues if square else spec.eigenvalues
+    k, lam = 0, spec.eigenvalues
+    if square:
+        k = max(0, math.frexp(norm1(M))[1] - _SQUARE_EXP)
+        M, lam = M / 2.0**k, lam / 2.0**k
+    rho = lam * lam if square else lam
     if spec.condition_estimate <= _EIG_COND_SWITCH:
         V = spec.eigenvectors
         on_cut = rho.imag == 0.0
         if square:
             roundoff = (_CUT_ROUNDOFF * np.finfo(float).eps * spec.condition_estimate
-                        * norm1(M) * np.abs(spec.eigenvalues))
+                        * norm1(M) * np.abs(lam))
             on_cut |= (rho.real < 0) & (np.abs(rho.imag) <= roundoff)
         # +0.0j on the axis, so Log(-1) is +i pi, not -i pi
         L = V @ np.diag(np.log(np.where(on_cut, rho.real + 0j, rho))) @ inv(V)
@@ -242,6 +255,8 @@ def _logm(M, spec, square=False):
         L = scipy.linalg.logm(M @ M if square else M)
     if not square:
         return L
+    if k:
+        L = L + 2.0 * k * math.log(2.0) * np.eye(len(M))
     residue = float(np.abs(L.imag).max()) if np.iscomplexobj(L) else 0.0
     if residue > _REALIFY_ATOL * max(1.0, norm1(L)):
         raise RealificationError(

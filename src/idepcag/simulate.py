@@ -32,6 +32,7 @@ from scipy.integrate import solve_ivp
 from .floquet import _cauchy_many
 from .linalg import NumericalError, solve
 from .model import SystemSpec
+from .transition import _RTOL_FLOOR
 
 __all__ = ["Trajectory", "solve_cauchy", "solve_direct", "max_discrepancy"]
 
@@ -295,7 +296,7 @@ def _direct_anchor_value(system, k, x_k):
         (zeta, t_k),
         y0,
         method="DOP853",
-        rtol=system.tolerances.ode_rel,
+        rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
         atol=system.tolerances.ode_abs,
     )
     if not sol.success:
@@ -330,7 +331,7 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
             (times[first - 1], times[end]),
             x_k,
             method="DOP853",
-            rtol=system.tolerances.ode_rel,
+            rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
             atol=system.tolerances.ode_abs,
             dense_output=True,
         )

@@ -363,16 +363,21 @@ def node_bound(n, grid):
     return len(_branch_ends(grid)) * (_N_MAX + 1) * (2 * n) ** 2
 
 
+def _interval_pairs(grid, ends, values, empty):
+    """Per base interval ``k``, the values ``(left, right)`` of its branches
+    to ``t_k`` and ``t_{k+1}``, from ``values[i]`` of the non-empty branch
+    ``ends[i] = (k, end)``; ``empty`` stands for an empty branch's identity."""
+    by_end = dict(zip(ends, values))
+    return [[by_end.get((j, t), empty) for t in grid.times[j:j + 2]] for j in range(grid.p)]
+
+
 def _monodromy_from_ends(system, ends, E):
     """``X(omega)`` assembled from ``E[i] = E(end, zeta_k)`` of the branches
     ``ends[i] = (k, end)``, one impulse and ``E_right E_left^-1`` per base
     interval; ``E_left`` is inverted by ``linalg.inv``, so a left end
     singular to its pivot rule raises ``SingularMatrixError``."""
-    n, grid = system.n, system.grid
-    E = dict(zip(ends, E))
-    X = np.eye(n)
-    for j in range(system.p):
-        E_left, E_right = (E.get((j, t), np.eye(n)) for t in grid.times[j:j + 2])
+    X = np.eye(system.n)
+    for j, (E_left, E_right) in enumerate(_interval_pairs(system.grid, ends, E, np.eye(system.n))):
         X = system.impulse_factor(j + 1) @ (E_right @ inv(E_left)) @ X
     return X
 
@@ -415,7 +420,7 @@ def _build_intervals(systems):
                 for branch in branches:
                     if isinstance(branch, NumericalError):
                         raise branch
-                ops = _operators_from_branches(systems[r], dict(zip(ends, branches)))
+                ops = _operators_from_branches(systems[r], ends, branches)
                 tops = np.stack([U[-1, :n] for _, U, _ in branches])
                 errs = np.stack([err[:n] for _, _, err in branches])
                 X, moved = (_monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])
@@ -434,24 +439,19 @@ def _build_intervals(systems):
     return out
 
 
-def _operators_from_branches(system, branches):
+def _operators_from_branches(system, ends, branches):
     """``IntervalOperators`` of every base interval from the Magnus results
-    ``branches[(k, end)] = (h, U, err)`` of its non-empty branches."""
+    ``branches[i] = (h, U, err)`` of the non-empty branches ``ends[i]``.
+    Both branches start at ``U(zeta, zeta) = I`` (an empty one is that node
+    alone), so the nodes are the left branch reversed, then the right one."""
     grid, n = system.grid, system.n
+    empty = (0.0, np.eye(2 * n)[None], None)
     ops = []
-    for j in range(system.p):
+    for j, ((h_l, U_l, _), (h_r, U_r, _)) in enumerate(_interval_pairs(grid, ends, branches, empty)):
         t_left, t_right, zeta = grid.times[j], grid.times[j + 1], grid.args[j]
-        times, nodes = [np.array([zeta])], [np.eye(2 * n)[None]]
-        left, right = branches.get((j, t_left)), branches.get((j, t_right))
-        if left is not None:
-            h, U, _ = left
-            times.insert(0, zeta + h * np.arange(len(U) - 1, 0, -1))
-            nodes.insert(0, U[:0:-1])
-        if right is not None:
-            h, U, _ = right
-            times.append(zeta + h * np.arange(1, len(U)))
-            nodes.append(U[1:])
-        times, nodes = np.concatenate(times), np.concatenate(nodes)
+        times = zeta + np.concatenate((h_l * np.arange(len(U_l) - 1, -1, -1),
+                                       h_r * np.arange(1, len(U_r))))
+        nodes = np.concatenate((U_l[::-1], U_r[1:]))
         times[0], times[-1] = t_left, t_right
         _, (J_l, J_r), (E_l, E_r) = _phi_j_e(nodes[[0, -1], :n], n)
         for name, J in (("J(t_k, zeta_k)", J_l), ("J(t_{k+1}, zeta_k)", J_r)):

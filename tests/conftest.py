@@ -68,6 +68,23 @@ def constant_doc(a=-0.2, c=0.0, omega=1.0):
     return json.dumps(doc)
 
 
+def narrow_doc():
+    """Two intervals, the second 5e-5 wide: narrower than the 5.5e-5 that a
+    five-point stencil of step 1e-5 and margin 4e-5 needs."""
+    doc = {
+        "n": 1,
+        "omega": 1.0,
+        "p": 2,
+        "times": [0.0, 0.99995, 1.0],
+        "args": [0.5, 0.99997],
+        "A": [["0.1"]],
+        "B": [["0.2*cos(2*pi*t)"]],
+        "impulses": [[[0.3]], [[-0.2]]],
+        "tolerances": {"ode_abs": 1e-12, "ode_rel": 1e-12, "alg": 1e-9},
+    }
+    return json.dumps(doc)
+
+
 @pytest.fixture(scope="session")
 def scalar_system():
     return load_bundled_system("scalar_impulse")

@@ -151,6 +151,48 @@ def test_analyze_defective_monodromy_on_branch_cut_exit_3(tmp_path, capsys):
     assert captured.err.startswith("numerical failure:")
 
 
+def _idepcag(*argv):
+    """The console command in a fresh interpreter, which a hang fails
+    after 60 s."""
+    src = Path(idepcag.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "idepcag", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _growth_doc(A):
+    """``x' = A x`` over ``omega = 1``, with ``B = 0`` and no impulse."""
+    zero = [["0"] * len(A)] * len(A)
+    return json.dumps({"n": len(A), "omega": 1, "p": 1, "times": [0, 1], "args": [0],
+                       "A": A, "B": zero, "impulses": [zero]})
+
+
+@pytest.mark.parametrize("A", [[["400"]], [["356", "1"], ["0", "356"]]], ids=["scalar", "jordan"])
+def test_squared_monodromy_past_the_float_range(tmp_path, A):
+    # |rho| > 1.34e154, so rho^2 and X @ X overflow while X and P are finite.
+    # The defective X took scipy's logm of an inf matrix, which never returned.
+    path = _write(tmp_path, "growth.json", _growth_doc(A))
+    result = _idepcag("analyze", path)
+    assert result.returncode == 0 and result.stderr == ""
+    P_real = np.array([[complex(*z) for z in row] for row in json.loads(result.stdout)["P_real"]])
+    assert np.abs(P_real - np.array(A, dtype=float)).max() <= 1e-12
+    # Q over 2 omega needs X(t) past the float range: a numerical failure.
+    result = _idepcag("factorize", path, "--real")
+    assert result.returncode in (0, 3)
+    if result.returncode == 3:
+        assert result.stderr.startswith("numerical failure:")
+        assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+
+
+def test_sweep_past_the_float_range_of_the_squared_monodromy(tmp_path):
+    template = _write(tmp_path, "growth.json", _growth_doc([["$G", "1"], ["0", "$G"]]))
+    result = _idepcag("sweep", template, "--param", "G", "--range=350:400", "--steps", "6")
+    assert result.returncode == 0 and result.stderr == ""
+    rows = [row.split(",") for row in result.stdout.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["Unbounded"] * 6
+
+
 def test_unknown_flag_exit_1(capsys):
     assert main(["analyze", _spec("sin_impulse"), "--frobnicate"]) == 1
 

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ import idepcag.floquet as floquet
 import idepcag.linalg as linalg
 from idepcag import (
     BOUNDED_NON_PERIODIC,
+    BUNDLED_SYSTEMS,
     EXPONENTIALLY_STABLE,
     MARGINAL_DEFECTIVE,
     PERIODIC_N_OMEGA,
     PERIODIC_OMEGA,
     UNBOUNDED,
     analyze,
+    bundled_system_path,
     cauchy_matrix,
     cauchy_matrix_left,
     classify,
@@ -37,6 +41,7 @@ from idepcag import (
     structural_residuals,
     verify_normal_form,
 )
+from idepcag.cli import main
 from idepcag.linalg import NumericalError
 from conftest import constant_doc, scalar_doc
 
@@ -296,6 +301,44 @@ def test_normal_form_rotation(rotation_system):
     report = verify_normal_form(rotation_system)
     assert report.expm_roundtrip <= 1e-14
     assert report.q_equation <= 1e-5 * report.q_equation_scale
+
+
+_T = re.compile(r"\bt\b")
+
+
+def _rescaled(text, c):
+    """The document in the time ``c t``: ``times``, ``args`` and ``omega``
+    times ``c``, and every coefficient ``f(t)`` replaced by ``f(t / c) / c``,
+    written with the literal ``1 / c`` (the grammar has no division)."""
+    doc = json.loads(text)
+    inv = repr(1.0 / c)
+    doc["times"] = [c * t for t in doc["times"]]
+    doc["args"] = [c * t for t in doc["args"]]
+    doc["omega"] *= c
+    for key in ("A", "B"):
+        doc[key] = [[f"({_T.sub(f'(t * {inv})', e)}) * {inv}" for e in row] for row in doc[key]]
+    return json.dumps(doc)
+
+
+# At c = 1e-6 only scalar_impulse loads: the coefficients of the trig systems
+# reach 1e6, and the periodicity certificate's absolute 1e-9 bound rejects
+# the roundoff of their samples.
+@pytest.mark.parametrize("name, c", [*((name, c) for name in BUNDLED_SYSTEMS for c in (1e-3, 1e3)),
+                                     ("scalar_impulse", 1e-6)])
+def test_time_rescaling_keeps_multipliers_and_residuals(name, c, tmp_path, capsys):
+    # Every base interval is c times as wide: at c = 1e-6, 1e-6 wide, so the
+    # Q-equation stencils must be sized to the interval to stay inside it.
+    path = tmp_path / "rescaled.json"
+    path.write_text(_rescaled(bundled_system_path(name).read_text(), c))
+    system = load_system(path.read_text())
+    expected = analyze(load_bundled_system(name)).multipliers
+    got = analyze(system).multipliers
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+    failing = {check.name: check.value for check in structural_residuals(system) if not check.passed}
+    assert not failing
+    assert main(["factorize", str(path)]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert residuals["q_equation"] <= 1e-5 * residuals["q_equation_scale"]
 
 
 def test_normal_form_real_variant(scalar_system):

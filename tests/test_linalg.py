@@ -319,6 +319,18 @@ def test_real_doubled_rotation_third_turn():
     assert norm1(expm(L) - R2) <= 1e-10
 
 
+def test_real_doubled_past_the_float_range():
+    # (2^600)^2 overflows.  The log is taken of the square of M / 2^89, whose
+    # 1-norm is below 2^511, plus 2 * 89 ln 2; at 2^510 nothing is scaled.
+    lam = 2.0**600
+    L = 1200.0 * math.log(2.0)
+    assert logm_real_doubled(np.array([[lam]]))[0, 0] == pytest.approx(L, rel=1e-15)
+    # Defective, so the scipy branch: log((lam I + N)^2) = 2 ln(lam) I + 2 N / lam.
+    jordan = logm_real_doubled(np.array([[lam, 1.0], [0.0, lam]]))
+    assert np.abs(jordan - L * np.eye(2)).max() <= 1e-12
+    assert logm_real_doubled(np.array([[2.0**510]]))[0, 0] == np.log(2.0**1020)
+
+
 def test_real_doubled_quarter_turn_reports_defect():
     # M^2 = -I has negative real eigenvalues; the principal log is not real
     R = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -13,6 +13,7 @@ import pytest
 
 import idepcag as pk
 from idepcag import gamma_at
+from conftest import narrow_doc
 
 TWO_INTERVAL_DOC = json.dumps({
     "n": 1,
@@ -134,6 +135,17 @@ def test_verify_normal_form_two_interval(two_interval):
     for t in report.sample_times:
         gap = pk.q_factor(two_interval, P, t + 2.0) - pk.q_factor(two_interval, P, t)
         assert pk.norm1(gap) <= 1e-8, t
+
+
+def test_narrow_interval_normal_form_residuals():
+    # Each stencil stays inside the 5e-5 wide interval, where Q is smooth:
+    # without that, Q' straddles the impulse at t = 0.99995 and q_equation
+    # reads 2.4e3.
+    system = pk.load_system(narrow_doc())
+    report = pk.verify_normal_form(system)
+    assert report.q_equation <= 1e-5 * report.q_equation_scale
+    checks = {c.name: c for c in pk.structural_residuals(system)}
+    assert not {k: v.value for k, v in checks.items() if not v.passed}
 
 
 ADVANCED_2X2_DOC = json.dumps({

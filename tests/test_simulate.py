@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from idepcag import (
     solve_direct,
     w_local,
 )
-from idepcag import simulate
+from idepcag import simulate, transition
 from idepcag.model import ArgumentGrid
 from idepcag.simulate import Trajectory, _layout, _near
 from conftest import count_partial_steps, sin_doc
@@ -291,6 +292,20 @@ def _reference_cauchy(system, x0, t_end, dt_out):
             records.append((t_stop, "sample", left))
     times, kinds, states = zip(*records)
     return np.array(times), kinds, np.array(states)
+
+
+def test_direct_below_the_rtol_floor_runs_at_the_floor():
+    # scipy warns of an rtol under 100 eps and raises it to that floor; the
+    # interval anchor is interior, so both solve_ivp calls see it.
+    tolerances = {"ode_abs": 1e-12, "ode_rel": 1e-16, "alg": 1e-9}
+    doc = json.loads(sin_doc(0.5, tolerances))
+    doc["args"] = [0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_direct(load_system(json.dumps(doc)), [1.0], 2.0, 0.25)
+    doc["tolerances"]["ode_rel"] = transition._RTOL_FLOOR
+    floor = solve_direct(load_system(json.dumps(doc)), [1.0], 2.0, 0.25)
+    assert np.array_equal(got.states, floor.states)
 
 
 def test_post_impulse_records_follow_the_period_map_in_extended_precision(rotation_system):

@@ -36,12 +36,13 @@ from idepcag import (
 )
 from idepcag import floquet, linalg, transition
 from idepcag.floquet import (
-    _FD_STEP,
+    _Q_SAMPLES,
     NormalFormResiduals,
     _cauchy_many,
     _interior_samples,
     _quad_signed,
 )
+from conftest import narrow_doc
 
 BUNDLED = ("markus_yamabe", "rotation_2x2", "scalar_impulse", "sin_impulse")
 
@@ -80,16 +81,15 @@ def _reference_verify_normal_form(system, P=None, samples=4, real=False):
     factor = 2 if real else 1
     X_factor = np.linalg.matrix_power(X_omega, factor)
     roundtrip = norm1(expm(P * (factor * omega)) - X_factor) / max(1.0, norm1(X_factor))
-    ts = _interior_samples(system, samples)
+    ts, _, steps = _interior_samples(system, samples)
 
     Q = lambda t: q_factor(system, P, t)
     Q_left = lambda t: cauchy_matrix_left(system, t) @ expm(-P * t)
 
-    h = _FD_STEP
     grid = system.grid
     q_resid = 0.0
     q_scale = 1.0
-    for t in ts:
+    for t, h in zip(ts, steps):
         dQ = _fd5(Q, t, h)
         _, m, j = grid.locate(t)
         gamma = grid.args[j] + m * omega
@@ -111,7 +111,7 @@ def _reference_verify_normal_form(system, P=None, samples=4, real=False):
         expm_roundtrip=roundtrip,
         q_equation=q_resid,
         q_equation_scale=q_scale,
-        sample_times=ts,
+        sample_times=tuple(ts),
     )
 
 
@@ -156,14 +156,28 @@ GENERATED = {
 
 
 @pytest.mark.parametrize("real", [False, True])
-@pytest.mark.parametrize("label", [*BUNDLED, *GENERATED])
+@pytest.mark.parametrize("label", [*BUNDLED, *GENERATED, "narrow"])
 def test_verify_normal_form_equals_unmemoised_reference(label, real):
-    if label in GENERATED:
-        system = load_system(_generated_doc(*GENERATED[label]))
-    else:
-        system = load_bundled_system(label)
+    system = load_system(narrow_doc()) if label == "narrow" else _load(label)
     expected = _reference_verify_normal_form(system, real=real)
     assert verify_normal_form(system, real=real) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(widths=st.lists(st.floats(-9.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=4))
+def test_interior_stencils_stay_inside_their_intervals(widths):
+    times = np.concatenate(([0.0], np.cumsum(widths))).tolist()
+    p = len(widths)
+    system = load_system(json.dumps({
+        "n": 1, "omega": times[-1], "p": p, "times": times, "args": times[:-1],
+        "A": [["0"]], "B": [["0"]], "impulses": [[[0.0]]] * p,
+    }))
+    ts, js, steps = _interior_samples(system, _Q_SAMPLES)
+    assert np.array_equal(js, np.arange(p).repeat(_Q_SAMPLES))
+    # The stencil as _normal_form_residuals places it.
+    stencil = ts[:, None] + np.arange(-2, 3) * steps[:, None]
+    grid = np.asarray(system.grid.times)
+    assert (grid[js, None] < stencil).all() and (stencil < grid[js + 1, None]).all()
 
 
 def _load(label):
