@@ -93,11 +93,9 @@ class Verdict:
 
 def _chain(system, k, x):
     """``X(t_r) x`` for ``r = 0..k``, stacked: the block ``x`` carried across
-    the breakpoints by the period steps ``S_j = (I + C_{j+1}) (E(t_{j+1},
-    zeta_j) E(t_j, zeta_j)^-1)``, one per base interval."""
+    the breakpoints by the cached ``IntervalOperators.period_step``."""
     dtype = np.result_type(float, x)
-    steps = [(system.impulse_factor(j + 1) @ (o.E_right @ o.E_left_inv)).astype(dtype)
-             for j, o in enumerate(interval_operators(system))]
+    steps = [o.period_step.astype(dtype) for o in interval_operators(system)]
     X = np.empty((k + 1,) + x.shape, dtype)
     X[0] = x
     for r in range(1, k + 1):

@@ -310,7 +310,7 @@ class IntervalOperators:
     _B: object
     _times: np.ndarray  # node times, ascending, from t_left to t_right
     _nodes: np.ndarray  # U(t_i, zeta), shape (len(_times), 2n, 2n)
-    E_right: np.ndarray
+    period_step: np.ndarray  # S_j = (I + C_{j+1}) E(t_right, zeta) E(t_left, zeta)^-1
     E_left_inv: np.ndarray
 
     def _top_many(self, ts):
@@ -371,14 +371,19 @@ def _interval_pairs(grid, ends, values, empty):
     return [[by_end.get((j, t), empty) for t in grid.times[j:j + 2]] for j in range(grid.p)]
 
 
+def _period_step(system, j, E_left, E_right):
+    """``(S_j, E_left^-1)``: the period step ``S_j = (I + C_{j+1}) E_right
+    E_left^-1`` of base interval ``j``, with ``E_left`` inverted by ``linalg.inv``."""
+    E_left_inv = inv(E_left)
+    return system.impulse_factor(j + 1) @ (E_right @ E_left_inv), E_left_inv
+
+
 def _monodromy_from_ends(system, ends, E):
     """``X(omega)`` assembled from ``E[i] = E(end, zeta_k)`` of the branches
-    ``ends[i] = (k, end)``, one impulse and ``E_right E_left^-1`` per base
-    interval; ``E_left`` is inverted by ``linalg.inv``, so a left end
-    singular to its pivot rule raises ``SingularMatrixError``."""
+    ``ends[i] = (k, end)``: the ``_period_step`` of every base interval."""
     X = np.eye(system.n)
-    for j, (E_left, E_right) in enumerate(_interval_pairs(system.grid, ends, E, np.eye(system.n))):
-        X = system.impulse_factor(j + 1) @ (E_right @ inv(E_left)) @ X
+    for j, pair in enumerate(_interval_pairs(system.grid, ends, E, np.eye(system.n))):
+        X = _period_step(system, j, *pair)[0] @ X
     return X
 
 
@@ -421,10 +426,11 @@ def _build_intervals(systems):
                     if isinstance(branch, NumericalError):
                         raise branch
                 ops = _operators_from_branches(systems[r], ends, branches)
-                tops = np.stack([U[-1, :n] for _, U, _ in branches])
-                errs = np.stack([err[:n] for _, _, err in branches])
-                X, moved = (_monodromy_from_ends(systems[r], ends, top[..., :n] + top[..., n:])
-                            for top in (tops, tops + errs))
+                X = np.eye(n)
+                for o in ops:
+                    X = o.period_step @ X
+                moved = np.stack([U[-1, :n] + err[:n] for _, U, err in branches])
+                moved = _monodromy_from_ends(systems[r], ends, moved[..., :n] + moved[..., n:])
             except NumericalError as exc:
                 out[r] = exc
                 continue
@@ -453,7 +459,7 @@ def _operators_from_branches(system, ends, branches):
                                        h_r * np.arange(1, len(U_r))))
         nodes = np.concatenate((U_l[::-1], U_r[1:]))
         times[0], times[-1] = t_left, t_right
-        _, (J_l, J_r), (E_l, E_r) = _phi_j_e(nodes[[0, -1], :n], n)
+        _, (J_l, J_r), E_ends = _phi_j_e(nodes[[0, -1], :n], n)
         for name, J in (("J(t_k, zeta_k)", J_l), ("J(t_{k+1}, zeta_k)", J_r)):
             det = abs(np.linalg.det(J))
             if det <= _DETJ_RTOL * max(1.0, norm1(J)) ** n:
@@ -461,6 +467,7 @@ def _operators_from_branches(system, ends, branches):
                     f"{name} is singular on interval {j}: the argument anchor is "
                     f"not invertible (|det| = {det:.3e})"
                 )
+        period_step, E_left_inv = _period_step(system, j, *E_ends)
         ops.append(IntervalOperators(
             t_left=t_left,
             t_right=t_right,
@@ -470,8 +477,8 @@ def _operators_from_branches(system, ends, branches):
             _B=system.B,
             _times=times,
             _nodes=nodes,
-            E_right=E_r,
-            E_left_inv=inv(E_l),
+            period_step=period_step,
+            E_left_inv=E_left_inv,
         ))
     return tuple(ops)
 

@@ -634,8 +634,8 @@ def test_structural_residuals_one_integration_per_biperiodicity_time(rotation_sy
 
 
 def test_structural_residuals_catch_corrupted_operator_cache(monkeypatch):
-    # E_right off by 1e-6 in the cache: X(omega) and every read of W and Q
-    # carry the defect consistently, so only the fresh reassembly of
+    # The period step off by 1e-6 in the cache: X(omega) and every read of W
+    # and Q carry the defect consistently, so only the fresh reassembly of
     # X(omega) can see it.
     import dataclasses
 
@@ -644,7 +644,7 @@ def test_structural_residuals_catch_corrupted_operator_cache(monkeypatch):
     system = load_bundled_system("rotation_2x2")
     clean = structural_residuals(system)
     ops = interval_operators(system)
-    corrupted = (dataclasses.replace(ops[0], E_right=ops[0].E_right + 1e-6), *ops[1:])
+    corrupted = (dataclasses.replace(ops[0], period_step=ops[0].period_step + 1e-6), *ops[1:])
     monkeypatch.setitem(transition._OPS_CACHE, system, corrupted)
     checks = structural_residuals(system)
     assert [c.name for c in checks] == [c.name for c in clean]

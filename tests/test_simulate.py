@@ -317,7 +317,7 @@ def test_post_impulse_records_follow_the_period_map_in_extended_precision(rotati
     traj = solve_cauchy(system, x0, 100 * system.omega, system.omega / 20.0)
     posts = traj.states[[kind == "post_impulse" for kind in traj.kinds]]
     ops = interval_operators(system)[0]
-    S = (system.impulse_factor(1) @ (ops.E_right @ ops.E_left_inv)).astype(np.longdouble)
+    S = ops.period_step.astype(np.longdouble)
     y, chain = x0.astype(np.clongdouble), []
     for _ in range(100):
         y = S @ y

@@ -187,12 +187,11 @@ def _load(label):
 
 
 def _reference_state(system, k):
-    """``X(t_k)`` from one impulse-and-interval factor per breakpoint."""
+    """``X(t_k)`` from one cached period step per breakpoint."""
     ops = interval_operators(system)
     X = np.eye(system.n)
     for r in range(1, k + 1):
-        o = ops[(r - 1) % system.p]
-        X = system.impulse_factor(r) @ (o.E_right @ o.E_left_inv) @ X
+        X = ops[(r - 1) % system.p].period_step @ X
     return X
 
 
@@ -205,9 +204,31 @@ def _reference_cauchy(system, t, left=False):
     tk = grid.time_at(k)
     if left and k >= 1 and abs(t - tk) <= 1e-12 * max(1.0, abs(tk)):
         o = ops[(k - 1) % system.p]
-        return (o.E_right @ o.E_left_inv) @ _reference_state(system, k - 1)
+        return (o.e_at(o.t_right) @ o.E_left_inv) @ _reference_state(system, k - 1)
     local = ops[j].e_at(t - m * system.omega) @ ops[j].E_left_inv
     return local @ _reference_state(system, k)
+
+
+@pytest.mark.parametrize("label", [*BUNDLED, "generated-2", "generated-4"])
+def test_period_step_is_the_impulse_times_the_interval_map(label):
+    # The right end node read back through e_at, times the cached inverse of
+    # the left one: the same bits as the step formed in the build.
+    system = _load(label)
+    for j, o in enumerate(interval_operators(system)):
+        expected = system.impulse_factor(j + 1) @ (o.e_at(o.t_right) @ o.E_left_inv)
+        assert np.array_equal(o.period_step, expected)
+
+
+@pytest.mark.parametrize("label", [*BUNDLED, "generated-2", "generated-4"])
+def test_build_inverts_each_left_end_twice(label, monkeypatch):
+    # Once for the cached step and E_left^-1, once in the assembly of the
+    # error-moved X(omega); X(omega) itself is the product of the cached steps.
+    inverted = []
+    inv = transition.inv
+    monkeypatch.setattr(transition, "inv", lambda M: inverted.append(M) or inv(M))
+    system = _load(label)
+    assert transition.build_operators([system]) == [None]
+    assert len(inverted) == 2 * system.p
 
 
 @pytest.mark.parametrize("label", [*BUNDLED, *GENERATED])
