@@ -98,8 +98,10 @@ def _chain(system, k, x):
     steps = [o.period_step.astype(dtype) for o in interval_operators(system)]
     X = np.empty((k + 1,) + x.shape, dtype)
     X[0] = x
-    for r in range(1, k + 1):
-        np.matmul(steps[(r - 1) % system.p], X[r - 1], out=X[r])
+    # Past the float range the rows turn inf or NaN; _cauchy_many refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, k + 1):
+            np.matmul(steps[(r - 1) % system.p], X[r - 1], out=X[r])
     return X
 
 
@@ -111,7 +113,8 @@ def _cauchy_many(system, ts, left=False, x=None):
     read in one ``e_many`` call per interval, times ``X(t_k) x`` at its last
     breakpoint.  At a breakpoint the right limit is post-impulse (solutions
     are right-continuous) and the left limit is the end node of the
-    interval before.
+    interval before.  A row past the float range raises ``NumericalError``
+    naming the first such time.
     """
     grid, p = system.grid, system.p
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -128,12 +131,17 @@ def _cauchy_many(system, ts, left=False, x=None):
     local = np.where(back, np.asarray(grid.times)[j + 1], ts - m * system.omega)
     X = _chain(system, int(k.max(initial=0)), x)
     out = np.empty((ts.size,) + X.shape[1:], dtype=X.dtype)
-    for i, ops in enumerate(interval_operators(system)):
-        at = np.flatnonzero(j == i)
-        if at.size:
-            # Periodicity brings the same local times back every period.
-            phases, which = np.unique(local[at], return_inverse=True)
-            out[at] = (ops.e_many(phases) @ ops.E_left_inv)[which] @ X[k[at]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, ops in enumerate(interval_operators(system)):
+            at = np.flatnonzero(j == i)
+            if at.size:
+                # Periodicity brings the same local times back every period.
+                phases, which = np.unique(local[at], return_inverse=True)
+                out[at] = (ops.e_many(phases) @ ops.E_left_inv)[which] @ X[k[at]]
+    bad = ~np.isfinite(out).reshape(ts.size, -1).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"W(t, 0) is not finite at t = {float(ts[bad][0])!r}: it leaves the float range")
     return out
 
 
@@ -561,9 +569,12 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     actually shows up.  All of them come from one batched integration over
     every ``(s, t)`` segment the checks need; the three biperiodicity checks
     share the segments ``(s, t)`` and ``(s + omega, t + omega)`` of a pair.
-    ``monodromy_refined``, the relative gap between ``X(omega)`` and its
-    reassembly at twice the cached step counts, estimates the truncation
-    error of ``X(omega)`` and catches a corrupted operator cache.
+    The cocycle residual ``norm1(Phi(t, u) Phi(u, s) - Phi(t, s))`` is
+    relative to ``max(1, norm1(Phi(t, s)))``, so an exact but fast-growing
+    flow passes.  ``monodromy_refined``, the relative gap between
+    ``X(omega)`` and its reassembly at twice the cached step counts,
+    estimates the truncation error of ``X(omega)`` and catches a corrupted
+    operator cache.
     ``expm_p_roundtrip`` and ``q_equation`` are the two residuals of
     ``verify_normal_form`` on the principal generator, from the one
     assembly of ``X(omega)`` that ``monodromy_refined`` reads too.
@@ -596,7 +607,7 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
 
     worst = 0.0
     for ut, su, st in zip(*Phi[2:5]):
-        worst = max(worst, norm1(ut @ su - st))
+        worst = max(worst, norm1(ut @ su - st) / max(1.0, norm1(st)))
     add("cocycle", worst, 1e-8)
 
     worst = 0.0

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _PERIODICITY_SAMPLES = 200
-_PERIODICITY_ATOL = 1e-9
+_PERIODICITY_TOL = 1e-9
 _IMPULSE_DET_MIN = 1e-12
 _GRID_ATOL = 1e-9
 
@@ -139,13 +139,14 @@ class MatrixFunction:
         """Max entrywise |eval(t + period) - eval(t)| over
         ``_PERIODICITY_SAMPLES`` deterministic samples; ``inf`` if any
         sampled value is not finite."""
-        return float(_defects(self)[0])
+        return float(_defects(self)[0][0])
 
 
 def _defects(mf, params=None):
-    """``MatrixFunction.periodicity_defect`` of ``mf`` at every value of the
-    array ``params`` of its parameter, from one evaluation (at its own value
-    when ``params`` is None)."""
+    """``(defect, size)``: ``MatrixFunction.periodicity_defect`` of ``mf`` and
+    its largest sampled entry ``max|M(t)|``, at every value of the array
+    ``params`` of its parameter, from one evaluation (at its own value when
+    ``params`` is None)."""
     rng = np.random.default_rng(20240801)
     ts = rng.uniform(0.0, mf.period, size=_PERIODICITY_SAMPLES)
     param = None if params is None else np.asarray(params, dtype=float)[:, None]
@@ -154,21 +155,23 @@ def _defects(mf, params=None):
             now = mf._eval_many(ts, param).reshape(mf.n, mf.n, -1, _PERIODICITY_SAMPLES)
             later = mf._eval_many(ts + mf.period, param).reshape(now.shape)
         except OverflowError:  # a power of Python floats, where numpy gives inf
-            return np.full(1 if params is None else len(params), math.inf)
+            return np.full((2, 1 if params is None else len(params)), math.inf)
         gap = np.abs(later - now).max(axis=(0, 1, 3), initial=0.0)
     # A non-finite sample makes its gap inf or NaN.
-    return np.where(np.isfinite(gap), gap, math.inf)
+    return np.where(np.isfinite(gap), gap, math.inf), np.abs(now).max(axis=(0, 1, 3), initial=0.0)
 
 
-def _certificate_error(defect, path):
+def _certificate_error(defect, size, path):
     """The ValidationError of a periodicity ``defect`` over the certificate's
-    bound, or None."""
+    bound ``_PERIODICITY_TOL max(1, size)``, for the largest sampled entry
+    ``size``, or None."""
     if defect == math.inf:
         return ValidationError("coefficients are not finite at every sampled time", path)
-    if defect > _PERIODICITY_ATOL:
+    if defect > _PERIODICITY_TOL * max(1.0, size):
+        scaled = f" max|M(t)| = {_PERIODICITY_TOL * size:.3e}" if size > 1.0 else ""
         return ValidationError(
             f"periodicity certificate failed: max |M(t+omega) - M(t)| = {defect:.3e} "
-            f"> {_PERIODICITY_ATOL:.0e}",
+            f"> {_PERIODICITY_TOL:.0e}{scaled}",
             path,
         )
     return None
@@ -465,8 +468,8 @@ class _Family:
         for name, mf in (("A", self.A), ("B", self.B)):
             if mf is None:
                 break
-            for r, defect in enumerate(_defects(mf, values)):
-                errors[r] = errors[r] or _certificate_error(defect, name)
+            for r, (defect, size) in enumerate(zip(*_defects(mf, values))):
+                errors[r] = errors[r] or _certificate_error(defect, size, name)
         out = []
         for r, error in enumerate(errors):
             error = error or self.late

@@ -291,14 +291,15 @@ def _direct_anchor_value(system, k, x_k):
         return np.concatenate(((-Psi @ Au).ravel(), (Psi @ Bu).ravel()))
 
     y0 = np.concatenate((np.eye(n).ravel(), np.zeros(n * n)))
-    sol = solve_ivp(
-        rhs,
-        (zeta, t_k),
-        y0,
-        method="DOP853",
-        rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
-        atol=system.tolerances.ode_abs,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (zeta, t_k),
+            y0,
+            method="DOP853",
+            rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
+            atol=system.tolerances.ode_abs,
+        )
     if not sol.success:
         raise NumericalError(f"anchor integration failed: {sol.message}")
     Psi = sol.y[: n * n, -1].reshape(n, n)
@@ -326,15 +327,17 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
         def rhs(u, y):
             return system.A.eval(u) @ y + system.B.eval(u) @ forcing_anchor
 
-        sol = solve_ivp(
-            rhs,
-            (times[first - 1], times[end]),
-            x_k,
-            method="DOP853",
-            rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
-            atol=system.tolerances.ode_abs,
-            dense_output=True,
-        )
+        # A state past the float range fails the step control, not numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(
+                rhs,
+                (times[first - 1], times[end]),
+                x_k,
+                method="DOP853",
+                rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
+                atol=system.tolerances.ode_abs,
+                dense_output=True,
+            )
         if not sol.success:
             raise NumericalError(f"interval integration failed: {sol.message}")
         for row in range(first, end):

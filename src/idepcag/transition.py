@@ -405,7 +405,9 @@ def _build_intervals(systems):
     ode_rel max|X|``, its integration is repeated with every branch's
     tolerance scaled down by twice the excess (``ode_rel`` no lower than
     ``_RTOL_FLOOR``).  Every segment steps on its own gaps, so each system's
-    nodes, repeats and errors are those it gets alone."""
+    nodes, repeats and errors are those it gets alone.  A system whose
+    ``X(omega)``, the product of its cached period steps, is not finite
+    fails with a ``NumericalError``."""
     first = systems[0]
     grid, n, tol = first.grid, first.n, first.tolerances
     ends = _branch_ends(grid)
@@ -426,11 +428,15 @@ def _build_intervals(systems):
                     if isinstance(branch, NumericalError):
                         raise branch
                 ops = _operators_from_branches(systems[r], ends, branches)
-                X = np.eye(n)
-                for o in ops:
-                    X = o.period_step @ X
                 moved = np.stack([U[-1, :n] + err[:n] for _, U, err in branches])
-                moved = _monodromy_from_ends(systems[r], ends, moved[..., :n] + moved[..., n:])
+                # Finite steps can have a product past the float range.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    X = np.eye(n)
+                    for o in ops:
+                        X = o.period_step @ X
+                    moved = _monodromy_from_ends(systems[r], ends, moved[..., :n] + moved[..., n:])
+                if not np.isfinite(X).all():
+                    raise NumericalError("X(omega) is not finite: it leaves the float range")
             except NumericalError as exc:
                 out[r] = exc
                 continue

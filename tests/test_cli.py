@@ -193,6 +193,45 @@ def test_sweep_past_the_float_range_of_the_squared_monodromy(tmp_path):
     assert [row[3] for row in rows] == ["Unbounded"] * 6
 
 
+def _overflow_doc(A="400"):
+    """Two intervals of ``x' = A x``: each period step is exp(A), finite for
+    A = 400, and X(omega) = exp(2 A) is past the float range."""
+    return json.dumps({"n": 1, "omega": 2.0, "p": 2, "times": [0.0, 1.0, 2.0], "args": [0.0, 1.0],
+                       "A": [[A]], "B": [["0"]], "impulses": [[[0.0]], [[0.0]]]})
+
+
+def _one_numerical_failure(result):
+    assert result.returncode == 3 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["verify"], ["factorize"],
+                                     ["simulate", "--x0", "1", "--t-end", "4"]])
+def test_monodromy_past_the_float_range_is_a_numerical_failure(tmp_path, command):
+    path = _write(tmp_path, "overflow.json", _overflow_doc())
+    result = _idepcag(command[0], path, *command[1:])
+    _one_numerical_failure(result)
+    assert "X(omega) is not finite" in result.stderr
+
+
+def test_sweep_keeps_its_rows_next_to_a_monodromy_past_the_float_range(tmp_path):
+    template = _write(tmp_path, "overflow.json", _overflow_doc("$G"))
+    result = _idepcag("sweep", template, "--param", "G", "--range=0:400", "--steps", "3")
+    assert result.returncode == 0 and result.stderr == ""
+    rows = [row.split(",") for row in result.stdout.splitlines()[1:]]
+    assert [row[3] for row in rows] == [
+        "PeriodicOmega", "Unbounded", "Error: X(omega) is not finite: it leaves the float range"]
+
+
+@pytest.mark.parametrize("method", ["cauchy", "direct", "both"])
+def test_trajectory_past_the_float_range_is_a_numerical_failure(tmp_path, method):
+    # X(omega) = exp(400) is finite; the state at t > 709.78 / 400 is not.
+    path = _write(tmp_path, "growth.json", _growth_doc([["400"]]))
+    result = _idepcag("simulate", path, "--x0", "1", "--t-end", "3", "--method", method)
+    _one_numerical_failure(result)
+
+
 def test_unknown_flag_exit_1(capsys):
     assert main(["analyze", _spec("sin_impulse"), "--frobnicate"]) == 1
 
@@ -816,6 +855,15 @@ def test_sweep_certificate_failure_next_to_loading_rows(tmp_path, capsys):
     assert failed and len(failed) < len(rows)
     assert all("periodicity certificate failed: max |M(t+omega) - M(t)| = 4.000e-09" in reason
                for reason in (failed[0], failed[-1]))
+
+
+def test_sweep_certificate_scales_with_each_row(tmp_path, capsys):
+    # 2e-9 t breaks periodicity by 2e-9: the certificate's bound is 1e-9
+    # max(1, max|A(t)|), so the rows with |EPS| > 2 load and the others fail.
+    text = _trig_doc(A=[["$EPS*cos(2*pi*t) + 2e-9*t", "0.2"], ["-0.1", "0.1"]])
+    rows, _ = _sweep_cells(tmp_path, capsys, text, "EPS", -4.0, 4.0, 5)
+    assert [row[3].startswith("Error: A: periodicity certificate failed") for row in rows] == [
+        False, True, True, True, False]
 
 
 def test_sweep_singular_anchor_next_to_good_rows(tmp_path, capsys):

@@ -320,11 +320,7 @@ def _rescaled(text, c):
     return json.dumps(doc)
 
 
-# At c = 1e-6 only scalar_impulse loads: the coefficients of the trig systems
-# reach 1e6, and the periodicity certificate's absolute 1e-9 bound rejects
-# the roundoff of their samples.
-@pytest.mark.parametrize("name, c", [*((name, c) for name in BUNDLED_SYSTEMS for c in (1e-3, 1e3)),
-                                     ("scalar_impulse", 1e-6)])
+@pytest.mark.parametrize("name, c", [(name, c) for name in BUNDLED_SYSTEMS for c in (1e-3, 1e3, 1e-6)])
 def test_time_rescaling_keeps_multipliers_and_residuals(name, c, tmp_path, capsys):
     # Every base interval is c times as wide: at c = 1e-6, 1e-6 wide, so the
     # Q-equation stencils must be sized to the interval to stay inside it.
@@ -653,6 +649,28 @@ def test_structural_residuals_catch_corrupted_operator_cache(monkeypatch):
     assert all(c.passed for c in checks if c is not refined)
     # The fresh-integration rows do not read the cache at all.
     assert [c.value for c in checks[:5]] == [c.value for c in clean[:5]]
+
+
+def test_cocycle_is_relative_to_the_flow(monkeypatch):
+    # x' = 400 x: Phi(t, s) = exp(400 (t - s)) reaches ~1e170, whose roundoff
+    # the relative row passes; one Phi of the fresh batch off by 1e-6
+    # relative still breaches it.
+    system = load_system(json.dumps({"n": 1, "omega": 1, "p": 1, "times": [0, 1], "args": [0],
+                                     "A": [["400"]], "B": [["0"]], "impulses": [[[0]]]}))
+    cocycle = lambda: next(c for c in structural_residuals(system) if c.name == "cocycle")
+    assert cocycle().passed and cocycle().value <= 1e-12
+    fresh = floquet._fresh_flows
+
+    def perturbed(system, s, t):
+        U = fresh(system, s, t)
+        # Segments stack (pair, shifted pair, (u, t), (s, u), (s, t), span)
+        # over the 2 pairs: row 8 is Phi(t, s) of the first cocycle triple.
+        U[8, :1, :1] *= 1.0 + 1e-6
+        return U
+
+    monkeypatch.setattr(floquet, "_fresh_flows", perturbed)
+    check = cocycle()
+    assert not check.passed and check.value > 5e-7
 
 
 def test_monodromy_refined_non_finite_is_a_breach(rotation_system, monkeypatch):

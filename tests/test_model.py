@@ -76,6 +76,19 @@ def test_periodicity_certificate_failure():
         load_system(json.dumps(doc))
 
 
+def test_periodicity_certificate_scales_with_the_coefficients():
+    # The bound is 1e-9 max(1, max|M(t)|): 1e6 sin(t) is not 1-periodic, and
+    # its defect of ~1e6 is far above the scaled bound of ~1e-3.
+    with pytest.raises(ValidationError,
+                       match=r"periodicity certificate failed: .* > 1e-09 max\|M\(t\)\| = \d\.\d{3}e-04$"):
+        load_system(_doc(A=[["1e6*sin(t)"]]))
+    # 2e-9 t breaks periodicity by 2e-9: above the bound next to coefficients
+    # of size 1, within it next to coefficients of size 10.
+    with pytest.raises(ValidationError, match=r"= 2\.000e-09 > 1e-09$"):
+        load_system(_doc(A=[["0.5*cos(2*pi*t) + 2e-9*t"]]))
+    load_system(_doc(A=[["10*cos(2*pi*t) + 2e-9*t"]]))
+
+
 def test_missing_field_and_wrong_shape():
     doc = json.loads(scalar_doc(-0.3, 10.0 / 3.0))
     del doc["args"]

@@ -285,7 +285,8 @@ def _reference_fresh_residuals(system, pairs, seed):
     for _ in range(pairs):
         s, u, t = np.sort(rng.uniform(0.0, omega, size=3))
         prod = fundamental_matrix(system, u, t) @ fundamental_matrix(system, s, u)
-        cocycle = max(cocycle, norm1(prod - fundamental_matrix(system, s, t)))
+        direct = fundamental_matrix(system, s, t)
+        cocycle = max(cocycle, norm1(prod - direct) / max(1.0, norm1(direct)))
     liouville = 0.0
     for _ in range(pairs):
         s, t = np.sort(rng.uniform(0.0, omega, size=2))
