@@ -428,13 +428,13 @@ def _build_intervals(systems):
                     if isinstance(branch, NumericalError):
                         raise branch
                 ops = _operators_from_branches(systems[r], ends, branches)
-                moved = np.stack([U[-1, :n] + err[:n] for _, U, err in branches])
+                tops = np.stack([U[-1, :n] + err[:n] for _, U, err in branches])
                 # Finite steps can have a product past the float range.
                 with np.errstate(over="ignore", invalid="ignore"):
                     X = np.eye(n)
                     for o in ops:
                         X = o.period_step @ X
-                    moved = _monodromy_from_ends(systems[r], ends, moved[..., :n] + moved[..., n:])
+                    moved = _monodromy_from_ends(systems[r], ends, tops[..., :n] + tops[..., n:])
                 if not np.isfinite(X).all():
                     raise NumericalError("X(omega) is not finite: it leaves the float range")
             except NumericalError as exc:
