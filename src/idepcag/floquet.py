@@ -11,6 +11,13 @@ with ``Q`` nonsingular, piecewise smooth, and omega-periodic.  A real
 variant ``(1/(2 omega)) Log X(omega)^2`` yields a real generator with a
 2-omega-periodic factor.  Everything here is anchored at tau = 0 with
 ``t_0 = 0`` on the grid.
+
+scipy.integrate is imported lazily, by ``closed_form_diagonal`` (through
+``_quad_signed``) at its first call: that oracle keeps scipy's ``quad``
+because its independence from the Magnus layer is its value, and no default
+path calls it.  The Liouville row of ``structural_residuals`` integrates
+``tr A`` with ``transition._trace_integrals``, so ``verify`` loads no
+scipy.integrate either.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .linalg import (
     NumericalError,
@@ -36,7 +42,7 @@ from .linalg import (
 )
 from .model import SystemSpec
 from .transition import (HypothesisReport, _branch_ends, _fresh_flows, _magnus_pass,
-                         _monodromy_from_ends, _phi_j_e,
+                         _monodromy_from_ends, _phi_j_e, _trace_integrals,
                          hypothesis_check, interval_operators)
 
 __all__ = [
@@ -390,6 +396,11 @@ def _normal_form_residuals(system, X_omega, P, real):
 
 
 def _quad_signed(f, lo, hi, **kw):
+    """scipy's ``quad`` of ``f`` from ``lo`` to ``hi``, signed.  The oracle
+    ``closed_form_diagonal`` is its only caller, so scipy.integrate is
+    imported here, at first call, and not with the package."""
+    from scipy.integrate import quad
+
     if lo == hi:
         return 0.0
     if hi < lo:
@@ -571,7 +582,10 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     share the segments ``(s, t)`` and ``(s + omega, t + omega)`` of a pair.
     The cocycle residual ``norm1(Phi(t, u) Phi(u, s) - Phi(t, s))`` is
     relative to ``max(1, norm1(Phi(t, s)))``, so an exact but fast-growing
-    flow passes.  ``monodromy_refined``, the relative gap between
+    flow passes.  The Liouville row compares ``det Phi(t, s)`` with the
+    exponential of ``integral_s^t tr A`` by the Gauss-Kronrod rule of
+    ``transition._trace_integrals``, independent of the Magnus layer.
+    ``monodromy_refined``, the relative gap between
     ``X(omega)`` and its reassembly at twice the cached step counts,
     estimates the truncation error of ``X(omega)`` and catches a corrupted
     operator cache.
@@ -611,13 +625,8 @@ def structural_residuals(system: SystemSpec, pairs: int = 2, seed: int = 2024080
     add("cocycle", worst, 1e-8)
 
     worst = 0.0
-    for (s, t), phi in zip(spans, Phi[5]):
-        expected = math.exp(
-            _quad_signed(
-                lambda u: float(np.trace(system.A.eval(u))), s, t,
-                epsabs=1e-12, epsrel=1e-12, limit=400,
-            )
-        )
+    for phi, integral in zip(Phi[5], _trace_integrals(system.A, spans)):
+        expected = math.exp(integral)
         got = np.linalg.det(phi)
         worst = max(worst, abs(got - expected) / abs(expected))
     add("liouville", worst, 1e-8)

@@ -20,6 +20,14 @@ their end nodes.
 ``Trajectory.write_csv`` formats all cells with a vectorized ``%.12e``
 kernel that hands the few cells it cannot prove exact to Python's
 formatter.
+
+scipy.integrate is not imported with the package: ``solve_ivp`` is resolved
+at first access by the module ``__getattr__`` (PEP 562), and ``_dop853``
+reads the name from the module at every call, so a wrapper bound to
+``simulate.solve_ivp`` (``perfbench/tracing.py`` binds one) sees every
+DOP853 solve.  Only ``--method direct`` and ``both`` pay for the import.
+A solve that fails as its state nears the float range raises
+``NumericalError`` naming the time, as ``solve_cauchy`` does.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .floquet import _cauchy_many
 from .linalg import NumericalError, solve
@@ -35,6 +42,16 @@ from .model import SystemSpec
 from .transition import _RTOL_FLOOR
 
 __all__ = ["Trajectory", "solve_cauchy", "solve_direct", "max_discrepancy"]
+
+
+def __getattr__(name):
+    """scipy's ``solve_ivp``, imported at first access (PEP 562)."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 KIND_SAMPLE = "sample"
 KIND_LEFT = "left_limit"
@@ -269,6 +286,36 @@ def solve_cauchy(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
     return Trajectory(times, tuple(_KINDS[codes]), states, "cauchy", t_end, dt_out)
 
 
+# A DOP853 stage sums the earlier stages' derivatives with weights of row
+# sum up to 96 before it scales them by the step, so a derivative within
+# that factor of the float range overflows every step, however short, and
+# the step control fails with finite states: x' = 400 x stops at t = 1.7503
+# with x = 1.2e304 and x' = 4.6e306.
+_DOP853_REACH = 2.0**10
+
+
+def _dop853(what, state, rhs, span, y0, system, **options):
+    """DOP853 of ``y' = rhs(t, y)`` from ``y0`` over ``span`` at the system's
+    tolerances, through whatever ``solve_ivp`` this module binds at call
+    time.  A failure raises ``NumericalError``: naming ``state`` and the last
+    accepted time when that state or its derivative is within
+    ``_DOP853_REACH`` of the float range, else ``what`` and scipy's
+    message."""
+    solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
+    # A state past the float range fails the step control, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, span, y0, method="DOP853",
+                        rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
+                        atol=system.tolerances.ode_abs, **options)
+        if sol.success:
+            return sol
+        t, y = float(sol.t[-1]), sol.y[:, -1]
+        finite = np.isfinite(_DOP853_REACH * y).all() and np.isfinite(_DOP853_REACH * rhs(t, y)).all()
+    if not finite:
+        raise NumericalError(f"{state} is not finite past t = {t!r}: it leaves the float range")
+    raise NumericalError(f"{what} integration failed: {sol.message}")
+
+
 def _direct_anchor_value(system, k, x_k):
     """State at the argument anchor zeta_k from the interval entry value.
 
@@ -291,17 +338,7 @@ def _direct_anchor_value(system, k, x_k):
         return np.concatenate(((-Psi @ Au).ravel(), (Psi @ Bu).ravel()))
 
     y0 = np.concatenate((np.eye(n).ravel(), np.zeros(n * n)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (zeta, t_k),
-            y0,
-            method="DOP853",
-            rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
-            atol=system.tolerances.ode_abs,
-        )
-    if not sol.success:
-        raise NumericalError(f"anchor integration failed: {sol.message}")
+    sol = _dop853("anchor", "the anchor flow", rhs, (zeta, t_k), y0, system)
     Psi = sol.y[: n * n, -1].reshape(n, n)
     K = sol.y[n * n :, -1].reshape(n, n)
     J = np.eye(n) + K  # J(t_k, zeta_k)
@@ -327,19 +364,8 @@ def solve_direct(system: SystemSpec, x0, t_end: float, dt_out: float) -> Traject
         def rhs(u, y):
             return system.A.eval(u) @ y + system.B.eval(u) @ forcing_anchor
 
-        # A state past the float range fails the step control, not numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(
-                rhs,
-                (times[first - 1], times[end]),
-                x_k,
-                method="DOP853",
-                rtol=max(system.tolerances.ode_rel, _RTOL_FLOOR),
-                atol=system.tolerances.ode_abs,
-                dense_output=True,
-            )
-        if not sol.success:
-            raise NumericalError(f"interval integration failed: {sol.message}")
+        sol = _dop853("interval", "x(t)", rhs, (times[first - 1], times[end]), x_k, system,
+                      dense_output=True)
         for row in range(first, end):
             states[row] = sol.sol(times[row])
         states[end] = sol.y[:, -1]

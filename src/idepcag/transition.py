@@ -48,7 +48,18 @@ where the end-cell bounds of ``_gk15`` charge it ~0 for a sign change and
 for a column switch alike.  What no sample sees, a column passing the max
 or an entry dipping through zero between two samples, is charged by one
 parabola bound on the sampled curvature (``_rises``).  The trig documents
-of the benchmark close in 3-8 levels, where bisection took 16-32.
+of the benchmark close in 3-8 levels, where bisection took 16-32.  The
+Liouville row of ``floquet.structural_residuals`` integrates ``tr A`` with
+the same Gauss-Kronrod rule, bisecting only (``_trace_integrals``): the trace
+is signed and smooth, and the rule shares nothing with the Magnus layer
+whose determinant it checks.
+
+No layer here calls scipy.integrate, and the module does not import it:
+with the scipy.optimize, scipy.special and scipy.sparse it pulls in, it
+costs about 0.2 s, some 40% of a cold ``import idepcag`` on a 2-vCPU VM.
+``quad`` and ``solve_ivp`` are still names of the module, resolved at first
+access by the module ``__getattr__`` (PEP 562), because
+``perfbench/tracing.py`` patches them by name.
 """
 
 from __future__ import annotations
@@ -60,8 +71,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-# Neither is called here; both stay bound because perfbench/tracing.py patches them by name.
-from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .linalg import NumericalError, SingularMatrixError, _expm_many, _gemm, inv, norm1
 from .model import SystemSpec
@@ -80,6 +89,18 @@ __all__ = [
 ]
 
 log = logging.getLogger("idepcag")
+
+
+def __getattr__(name):
+    """scipy's ``quad`` and ``solve_ivp``, imported at first access (PEP 562).
+    Neither is called here; both stay names of the module because
+    ``perfbench/tracing.py`` patches them by name."""
+    if name in ("quad", "solve_ivp"):
+        import scipy.integrate
+
+        return getattr(scipy.integrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _DETJ_RTOL = 1e-12
 
@@ -610,6 +631,8 @@ _NORM_TOL = 1e-10  # absolute and relative goal of each norm integral
 # 17-sample evaluations of the matrix); |sin(100 pi t)| takes 200 on [0, 1]
 # (~2800 with bisection alone).
 _GK_LIMIT = 4000
+_TRACE_TOL = 1e-12  # absolute and relative goal of each trace integral
+_TRACE_LIMIT = 400  # most subintervals of one trace integral
 _KINK_FTOL = 1e-13  # a kink is located where its function is this share of the norm
 _KINK_ITER = 60  # most Illinois iterations of one kink search
 # Kinks closer than this share of a subinterval's width to one of its ends,
@@ -701,6 +724,63 @@ def _gk15(matfun, lo, hi):
         dips = 2.0 * _rises(-np.abs(M), curve[:n2].reshape(flips.shape), cell, top_cell & ~flips)
         error = np.abs(kronrod - gauss) + half * (kinks @ _GK_KINK) + bumps + dips
     return kronrod, error, (ts, M, cols, kinks, flips)
+
+
+def _trace_integrals(matfun, spans):
+    """``integral_s^t tr matfun(u) du`` for every ``(s, t)`` of ``spans``:
+    signed, so a reversed span gives the negative, and 0.0 on an empty one.
+
+    The Gauss-Kronrod 7-15 rule of ``_gk15`` on the 15 nodes, refined level
+    by level over every span at once, one ``_eval_many`` per level on the
+    nodes of the new subintervals.  The trace is signed, and smooth where
+    the entries are, so ``|K15 - G7|`` is the error estimate and no kink is
+    sought: a subinterval is bisected where its estimate exceeds its
+    width's share of ``max(_TRACE_TOL, _TRACE_TOL |I|)``.  An integral that
+    would pass ``_TRACE_LIMIT`` subintervals stops with a warning.  Constant
+    diagonal entries take the closed form ``tr (t - s)``."""
+    s, t = np.asarray(spans, dtype=float).reshape(-1, 2).T
+    if all(matfun.entries[i][i].is_constant() for i in range(matfun.n)):
+        return float(np.trace(matfun.eval(0.0))) * (t - s)
+
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        ts = (a + half)[:, None] + half[:, None] * _GK_NODES[1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kronrod, gauss = half * (_GK_WEIGHTS[:, 1:-1] @ np.trace(matfun._eval_many(ts)).T)
+            return kronrod, np.abs(kronrod - gauss)
+
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    width = hi - lo
+    m = width.size
+    owner = np.flatnonzero(width > 0.0)
+    a, b = lo[owner], hi[owner]
+    value, error = rule(a, b)
+    stopped = np.zeros(m, bool)
+    while True:
+        total = np.bincount(owner, value, m)
+        goal = np.maximum(_TRACE_TOL, _TRACE_TOL * np.abs(total))
+        # A non-finite total makes the goal inf or NaN, which closes it.
+        estimate = np.bincount(owner, error, m)
+        open_ = (estimate > goal) & ~stopped
+        split = open_[owner] & (error > goal[owner] * (b - a) / width[owner])
+        over = open_ & (np.bincount(owner, minlength=m) + np.bincount(owner, split, m) > _TRACE_LIMIT)
+        for k in np.flatnonzero(over):
+            log.warning("integral of tr over [%r, %r] stopped at %d subintervals with error "
+                        "estimate %.3e (goal %.3e)", float(s[k]), float(t[k]), np.count_nonzero(owner == k),
+                        estimate[k], goal[k])
+        stopped |= over
+        split &= ~stopped[owner]
+        if not split.any():
+            return np.where(t < s, -total, total)
+        mid = 0.5 * (a[split] + b[split])
+        c_a = np.column_stack((a[split], mid)).ravel()
+        c_b = np.column_stack((mid, b[split])).ravel()
+        c_value, c_error = rule(c_a, c_b)
+        keep = ~split
+        owner = np.concatenate((owner[keep], np.repeat(owner[split], 2)))
+        a, b = np.concatenate((a[keep], c_a)), np.concatenate((b[keep], c_b))
+        value = np.concatenate((value[keep], c_value))
+        error = np.concatenate((error[keep], c_error))
 
 
 def _curvature_bound(x, cell):

@@ -151,13 +151,73 @@ def test_analyze_defective_monodromy_on_branch_cut_exit_3(tmp_path, capsys):
     assert captured.err.startswith("numerical failure:")
 
 
-def _idepcag(*argv):
-    """The console command in a fresh interpreter, which a hang fails
-    after 60 s."""
+def _python(*args, check=False):
+    """A fresh interpreter on this package, which a hang fails after 60 s."""
     src = Path(idepcag.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "idepcag", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, check=check)
+
+
+def _idepcag(*argv):
+    """The console command in a fresh interpreter."""
+    return _python("-m", "idepcag", *argv)
+
+
+def _fresh_python(code):
+    """The stdout of ``code`` in a fresh interpreter."""
+    return _python("-c", code, check=True).stdout
+
+
+_DEFAULT_PATHS = """
+import contextlib, io, json, sys
+import idepcag.cli
+from idepcag import bundled_system_path
+
+def loaded():
+    return [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]
+
+report = {"import": loaded(), "codes": []}
+spec = str(bundled_system_path("sin_impulse"))
+template = str(bundled_system_path("scalar_table_template"))
+for argv in (["analyze", spec], ["factorize", spec], ["verify", spec],
+             ["sweep", template, "--param", "AC", "--range=-1:1", "--steps", "3"],
+             ["simulate", spec, "--x0", "1", "--t-end", "2", "--method", "cauchy"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(idepcag.cli.main(argv))
+report["cli"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_default_paths_load_no_scipy_integrate():
+    report = json.loads(_fresh_python(_DEFAULT_PATHS))
+    assert report == {"import": [], "codes": [0] * 5, "cli": []}
+
+
+_ORACLES = {
+    "solve_direct": "idepcag.solve_direct(system, [1.0], 2.0, 0.25).states",
+    "closed_form_diagonal": "idepcag.closed_form_diagonal(system).P",
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_oracles_import_scipy_integrate_at_first_call(oracle):
+    code = f"""
+import sys, numpy as np, idepcag
+system = idepcag.load_bundled_system("sin_impulse")
+before = "scipy.integrate" in sys.modules
+out = np.asarray({_ORACLES[oracle]}, dtype=complex)
+print(before, "scipy.integrate" in sys.modules, *[float(x).hex() for x in out.view(float).ravel()])
+"""
+    before, after, *bits = _fresh_python(code).split()
+    assert (before, after) == ("False", "True")
+    # The same bits as in this process, which imports scipy.integrate first.
+    import scipy.integrate  # noqa: F401
+
+    system = load_bundled_system("sin_impulse")
+    out = np.asarray(eval(_ORACLES[oracle], {"idepcag": idepcag, "system": system}), dtype=complex)
+    assert bits == [float(x).hex() for x in out.view(float).ravel()]
 
 
 def _growth_doc(A):
@@ -230,6 +290,9 @@ def test_trajectory_past_the_float_range_is_a_numerical_failure(tmp_path, method
     path = _write(tmp_path, "growth.json", _growth_doc([["400"]]))
     result = _idepcag("simulate", path, "--x0", "1", "--t-end", "3", "--method", method)
     _one_numerical_failure(result)
+    # Both methods name the time; cauchy runs first under "both".
+    named = "x(t) is not finite past t = 1.7" if method == "direct" else "W(t, 0) is not finite at t = 1.785"
+    assert named in result.stderr and result.stderr.rstrip().endswith(": it leaves the float range")
 
 
 def test_unknown_flag_exit_1(capsys):

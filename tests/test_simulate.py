@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idepcag import (
+    NumericalError,
     eig,
     interval_operators,
     load_bundled_system,
@@ -306,6 +308,74 @@ def test_direct_below_the_rtol_floor_runs_at_the_floor():
     doc["tolerances"]["ode_rel"] = transition._RTOL_FLOOR
     floor = solve_direct(load_system(json.dumps(doc)), [1.0], 2.0, 0.25)
     assert np.array_equal(got.states, floor.states)
+
+
+def _growth_system():
+    """``x' = 400 x`` over ``omega = 1``: ``x(t)`` leaves the float range at
+    ``t = log(max float) / 400 = 1.7745``."""
+    return load_system(json.dumps({"n": 1, "omega": 1, "p": 1, "times": [0, 1], "args": [0],
+                                   "A": [["400"]], "B": [["0"]], "impulses": [[[0]]]}))
+
+
+def test_direct_past_the_float_range_names_the_time():
+    with pytest.raises(NumericalError, match="leaves the float range") as caught:
+        solve_direct(_growth_system(), [1.0], 3.0, 0.1)
+    head, _, tail = str(caught.value).partition(": ")
+    assert head.startswith("x(t) is not finite past t = ") and tail == "it leaves the float range"
+    assert 1.7 < float(head.rpartition(" = ")[2]) < math.log(np.finfo(float).max) / 400
+
+
+def test_direct_keeps_scipys_message_for_other_failures(monkeypatch):
+    def failing(*args, **kwargs):
+        sol = scipy.integrate.solve_ivp(*args, **kwargs)
+        sol.success, sol.message = False, "no luck"
+        return sol
+
+    monkeypatch.setattr(simulate, "solve_ivp", failing)
+    with pytest.raises(NumericalError, match="^interval integration failed: no luck$"):
+        solve_direct(load_bundled_system("sin_impulse"), [1.0], 2.0, 0.5)
+    doc = json.loads(sin_doc(0.7))
+    doc["args"] = [0.5]
+    with pytest.raises(NumericalError, match="^anchor integration failed: no luck$"):
+        solve_direct(load_system(json.dumps(doc)), [1.0], 2.0, 0.5)
+
+
+def test_scipy_names_of_the_tracer_resolve_to_scipy():
+    # perfbench/tracing.py patches these three by name; none is imported
+    # with the package.
+    assert transition.quad is scipy.integrate.quad
+    assert transition.solve_ivp is scipy.integrate.solve_ivp
+    assert simulate.solve_ivp is scipy.integrate.solve_ivp
+    for module in (transition, simulate):
+        with pytest.raises(AttributeError, match="has no attribute 'romberg'"):
+            module.romberg
+
+
+def test_a_bound_solve_ivp_sees_every_dop853_solve(monkeypatch):
+    # Every DOP853 solver that solve_direct starts, anchor solves included,
+    # comes from the solve_ivp bound on the module at call time.
+    started, seen = [], []
+    dop853_init = scipy.integrate.DOP853.__init__
+
+    def init(self, *args, **kwargs):
+        started.append(args[1])
+        dop853_init(self, *args, **kwargs)
+
+    def traced(fun, t_span, *args, **kwargs):
+        seen.append(t_span[0])
+        return scipy.integrate.solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate.DOP853, "__init__", init)
+    setattr(simulate, "solve_ivp", traced)
+    try:
+        doc = json.loads(sin_doc(0.7))
+        doc["args"] = [0.5]
+        solve_direct(load_system(json.dumps(doc)), [1.0], 3.0, 0.5)
+    finally:
+        del simulate.solve_ivp
+    # Three intervals, each an anchor solve from 0.5 + k and a state solve from k.
+    assert seen == started == [0.5, 0.0, 1.5, 1.0, 2.5, 2.0]
+    assert simulate.solve_ivp is scipy.integrate.solve_ivp
 
 
 def test_post_impulse_records_follow_the_period_map_in_extended_precision(rotation_system):

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from idepcag import (
     NumericalError,
@@ -40,7 +41,6 @@ from idepcag.floquet import (
     NormalFormResiduals,
     _cauchy_many,
     _interior_samples,
-    _quad_signed,
 )
 from conftest import narrow_doc
 
@@ -288,12 +288,9 @@ def _reference_fresh_residuals(system, pairs, seed):
         direct = fundamental_matrix(system, s, t)
         cocycle = max(cocycle, norm1(prod - direct) / max(1.0, norm1(direct)))
     liouville = 0.0
-    for _ in range(pairs):
-        s, t = np.sort(rng.uniform(0.0, omega, size=2))
-        expected = math.exp(_quad_signed(
-            lambda u: float(np.trace(system.A.eval(u))), s, t,
-            epsabs=1e-12, epsrel=1e-12, limit=400,
-        ))
+    spans = np.sort(rng.uniform(0.0, omega, size=(pairs, 2)), axis=1)
+    for (s, t), integral in zip(spans, transition._trace_integrals(system.A, spans)):
+        expected = math.exp(integral)
         got = np.linalg.det(fundamental_matrix(system, s, t))
         liouville = max(liouville, abs(got - expected) / abs(expected))
     return [*worst, cocycle, liouville]
@@ -305,6 +302,56 @@ def test_batched_fresh_residuals_equal_per_pair_reference(label, pairs, seed):
     system = _load(label)
     checks = structural_residuals(system, pairs=pairs, seed=seed)
     assert [c.value for c in checks[:5]] == _reference_fresh_residuals(system, pairs, seed)
+
+
+_UNIT_SPANS = st.lists(
+    st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)) | st.floats(-1.0, 2.0).map(lambda x: (x, x)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), _UNIT_SPANS)
+def test_trace_integral_agrees_with_quad(seed, n, unit_spans):
+    # Spans in units of omega, forward, reversed and empty, in one batch.
+    system = load_system(_generated_doc(seed, n, ("interior",)))
+    spans = np.array(unit_spans) * system.omega
+    got = transition._trace_integrals(system.A, spans)
+    assert np.array_equal(transition._trace_integrals(system.A, spans[:, ::-1]), -got)
+
+    def trace(u):
+        return float(np.trace(system.A.eval(u)))
+
+    for (s, t), value in zip(spans, got):
+        if s == t:
+            assert value == 0.0
+            continue
+        ref = quad(trace, min(s, t), max(s, t), epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        ref = ref if s < t else -ref
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_trace_integral_of_a_constant_trace_is_exact():
+    system = load_system(json.dumps({
+        "n": 2, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["2", "sin(2*pi*t)"], ["cos(2*pi*t)", "-0.5"]], "B": [["0", "0"], ["0", "0"]],
+        "impulses": [[[0, 0], [0, 0]]]}))
+    spans = np.array([(0.1, 0.7), (0.9, 0.2), (0.3, 0.3), (-2.5, 7.25)])
+    assert np.array_equal(transition._trace_integrals(system.A, spans),
+                          1.5 * (spans[:, 1] - spans[:, 0]))
+
+
+def test_trace_integral_stops_at_its_subinterval_limit(caplog):
+    # 864 periods of exp(sin) need more than 400 subintervals; bisection
+    # stops at 256, short of the limit.  The span beside it closes as usual.
+    system = load_system(json.dumps({
+        "n": 1, "omega": 1.0, "p": 1, "times": [0.0, 1.0], "args": [0.0],
+        "A": [["exp(sin(2000*pi*t))"]], "B": [["0"]], "impulses": [[[0]]]}))
+    with caplog.at_level("WARNING", logger="idepcag"):
+        _, narrow = transition._trace_integrals(system.A, [(0.123, 0.987), (0.5, 0.5005)])
+    assert [r.getMessage().split(" with ")[0] for r in caplog.records] == [
+        "integral of tr over [0.123, 0.987] stopped at 256 subintervals"]
+    ref = quad(lambda u: math.exp(math.sin(2000 * math.pi * u)), 0.5, 0.5005, epsabs=1e-15)[0]
+    assert abs(narrow - ref) <= 1e-12 * ref
 
 
 def test_verification_checks_read_in_batches(monkeypatch):
