@@ -141,7 +141,9 @@ def _cauchy_many(system, ts, left=False, x=None):
         for i, ops in enumerate(interval_operators(system)):
             at = np.flatnonzero(j == i)
             if at.size:
-                # Periodicity brings the same local times back every period.
+                # Times one period apart share a local time only where
+                # t - m omega rounds alike, so a long horizon reads several
+                # copies of a phase, apart at roundoff.
                 phases, which = np.unique(local[at], return_inverse=True)
                 out[at] = (ops.e_many(phases) @ ops.E_left_inv)[which] @ X[k[at]]
     bad = ~np.isfinite(out).reshape(ts.size, -1).all(axis=1)

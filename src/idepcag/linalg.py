@@ -1,11 +1,15 @@
 """Dense complex matrix kernel: inverses, spectra, expm, principal logm.
 
 Matrices are plain ``numpy.ndarray``s (real or complex, square).  Every
-inverse and solve goes through one LU (LAPACK ``getrf``/``getrs``); the
-eigensolver and the logarithm of defective matrices come from LAPACK via
-numpy/scipy; the exponential is a stacked Taylor kernel shared with the
-transition layer.  The branch, pivot and spectral-order policies that the
-Floquet normal form relies on live here.
+inverse and solve is numpy's LAPACK ``gesv`` (LU with partial pivoting)
+under one pivot rule; the eigensolver is numpy's LAPACK too, and the
+exponential is a stacked Taylor kernel shared with the transition layer.
+The branch, pivot and spectral-order policies that the Floquet normal form
+relies on live here.
+
+scipy is not imported with the module: only the logarithm of a defective
+matrix, ``scipy.linalg.logm``, needs it, and ``_logm`` imports it there at
+first call.  So the package's default paths load numpy's OpenBLAS alone.
 
 Eigenvalues are always reported sorted by descending modulus, then
 ascending argument, so downstream reports are deterministic.
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NumericalError",
@@ -53,47 +56,99 @@ class RealificationError(NumericalError):
 
 def norm1(M) -> float:
     """Matrix 1-norm (max absolute column sum)."""
-    M = np.atleast_2d(np.asarray(M))
-    return float(np.abs(M).sum(axis=0).max())
+    return float(np.abs(np.atleast_2d(M)).sum(axis=0).max())
 
 
 def _square(M):
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
 
 
 _PIVOT_RTOL = 1e-14
+# Up to this order the elimination of _min_pivot runs on Python scalars,
+# which beats numpy's per-call overhead; above it, on numpy rows.
+_SCALAR_ELIMINATION_MAX = 16
+
+
+def _min_pivot(M):
+    """Smallest ``|u_kk|`` of the LU of ``M`` by partial pivoting, the pivot
+    row chosen as LAPACK's ``i?amax`` (inside ``getrf``) chooses it: the
+    first row of largest ``|Re| + |Im|`` in the column."""
+    n = len(M)
+    if n > _SCALAR_ELIMINATION_MAX:
+        return _min_pivot_rows(M)
+    a = M.tolist()
+    smallest = math.inf
+    for k in range(n):
+        p, best = k, -1.0
+        for i in range(k, n):
+            size = abs(a[i][k].real) + abs(a[i][k].imag)
+            if size > best:
+                p, best = i, size
+        a[k], a[p] = a[p], a[k]
+        top = a[k]
+        smallest = min(smallest, abs(top[k]))
+        if not top[k]:
+            break
+        r = 1.0 / top[k]
+        for row in a[k + 1:]:
+            f = row[k] * r
+            for j in range(k + 1, n):
+                row[j] -= f * top[j]
+    return smallest
+
+
+def _min_pivot_rows(M):
+    """``_min_pivot`` by one numpy rank-one update per column."""
+    U = np.array(M, dtype=np.result_type(M, float))
+    size = (lambda c: np.abs(c.real) + np.abs(c.imag)) if np.iscomplexobj(U) else np.abs
+    smallest = math.inf
+    for k in range(len(U)):
+        p = k + int(np.argmax(size(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        smallest = min(smallest, float(abs(U[k, k])))
+        if not U[k, k]:
+            break
+        U[k + 1:, k + 1:] -= np.multiply.outer(U[k + 1:, k] * (1.0 / U[k, k]), U[k, k + 1:])
+    return smallest
+
+
+def _gesv(M, B):
+    """``np.linalg.solve(M, B)``, or ``np.linalg.inv(M)`` when ``B`` is
+    ``None``, under the pivot rule."""
+    M = _square(M)
+    smallest = _min_pivot(M)
+    if smallest <= _PIVOT_RTOL * max(norm1(M), 1e-300):
+        raise SingularMatrixError(f"matrix singular to tolerance (min pivot {smallest:.3e})")
+    try:
+        return np.linalg.inv(M) if B is None else np.linalg.solve(M, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix singular to working precision") from exc
 
 
 def solve(M, B):
-    """Solve ``M @ X = B`` by LU with partial pivoting: LAPACK ``getrf`` and
-    ``getrs`` (the routines behind ``scipy.linalg.lu_factor`` and
-    ``lu_solve``) in the common type of ``M`` and ``B``.
+    """Solve ``M @ X = B``: ``np.linalg.solve``, LAPACK ``gesv`` (LU with
+    partial pivoting) in the common type of ``M`` and ``B``.
+
+    numpy does not expose the LU factors, so the pivot rule reads them from
+    ``_min_pivot``, a second elimination in the pivot order of ``getrf``.
 
     Raises
     ------
     SingularMatrixError
-        If some pivot falls below ``1e-14 * norm1(M)``.
+        If some pivot is at most ``1e-14 * norm1(M)``.
     """
-    M, B = _square(M), np.asarray(B)
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (M, B))
-    lu, piv, _ = getrf(M)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= _PIVOT_RTOL * max(norm1(M), 1e-300):
-        raise SingularMatrixError(
-            f"matrix singular to tolerance (min pivot {diag.min():.3e})"
-        )
-    return getrs(lu, piv, B)[0]
+    return _gesv(M, B)
 
 
 def inv(M):
-    """Inverse: ``solve(M, I)``, so the same LU and pivot rule."""
-    M = _square(M)
-    return solve(M, np.eye(M.shape[0], dtype=M.dtype))
+    """Inverse: ``np.linalg.inv``, ``gesv`` of ``M`` and ``I``, under the
+    pivot rule of ``solve``."""
+    return _gesv(M, None)
 
 
 @dataclass(frozen=True)
@@ -252,6 +307,8 @@ def _logm(M, spec, square=False):
             "the closed negative real axis"
         )
     else:
+        import scipy.linalg
+
         L = scipy.linalg.logm(M @ M if square else M)
     if not square:
         return L

@@ -175,7 +175,7 @@ import idepcag.cli
 from idepcag import bundled_system_path
 
 def loaded():
-    return [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 report = {"import": loaded(), "codes": []}
 spec = str(bundled_system_path("sin_impulse"))
@@ -190,9 +190,27 @@ print(json.dumps(report))
 """
 
 
-def test_default_paths_load_no_scipy_integrate():
+def test_default_paths_load_no_scipy():
     report = json.loads(_fresh_python(_DEFAULT_PATHS))
     assert report == {"import": [], "codes": [0] * 5, "cli": []}
+
+
+def test_defective_logm_imports_scipy_linalg_at_first_call():
+    doc = _jordan_doc(0.0)
+    code = f"""
+import sys, numpy as np, idepcag
+system = idepcag.load_system({doc!r})
+before = "scipy.linalg" in sys.modules
+P = np.asarray(idepcag.analyze(system).P, dtype=complex)
+print(before, "scipy.linalg" in sys.modules, *[float(x).hex() for x in P.view(float).ravel()])
+"""
+    before, after, *bits = _fresh_python(code).split()
+    assert (before, after) == ("False", "True")
+    # The same bits as in this process, which imports scipy.linalg first.
+    import scipy.linalg  # noqa: F401
+
+    P = np.asarray(analyze(idepcag.load_system(doc)).P, dtype=complex)
+    assert bits == [float(x).hex() for x in P.view(float).ravel()]
 
 
 _ORACLES = {

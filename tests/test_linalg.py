@@ -70,19 +70,46 @@ def test_inv_rejects_non_square(shape):
         inv(np.ones(shape))
 
 
-def test_inv_and_solve_have_the_bits_of_lu_factor_and_lu_solve():
-    # One getrf/getrs pair is what scipy's lu_factor/lu_solve run; a real M
-    # with a complex right-hand side is factored in complex arithmetic.
+def test_inv_and_solve_have_the_bits_of_numpy_gesv():
+    # A real M with a complex right-hand side is solved in complex arithmetic.
     rng = np.random.default_rng(3)
-    for n in range(1, 7):
+    for n in range(1, 9):
         for complex_entries in (False, True):
             M = _random_matrix(rng, n, complex_entries, scale=10.0 ** rng.uniform(-3, 3))
-            lu = scipy.linalg.lu_factor(M)
-            assert np.array_equal(inv(M), scipy.linalg.lu_solve(lu, np.eye(n, dtype=M.dtype)))
+            assert np.array_equal(inv(M), np.linalg.inv(M))
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M.astype(complex)), b)
-            assert np.array_equal(la.solve(M, b), ref)
-            assert np.array_equal(la.solve(M, b.real), scipy.linalg.lu_solve(lu, b.real))
+            assert np.array_equal(la.solve(M, b), np.linalg.solve(M, b))
+            assert np.array_equal(la.solve(M, b.real), np.linalg.solve(M, b.real))
+            B = np.stack([b.real, b.imag], axis=1)
+            assert np.array_equal(la.solve(M, B), np.linalg.solve(M, B))
+
+
+def test_pivot_rule_reads_the_pivots_of_getrf():
+    # scipy's lu_factor (LAPACK getrf) is the oracle: the smallest |u_kk| of
+    # both eliminations agree to a few ulps of norm1(M), on either side of
+    # the switch from scalar to numpy rows.
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for n in [*range(1, 9), la._SCALAR_ELIMINATION_MAX, la._SCALAR_ELIMINATION_MAX + 4]:
+        for complex_entries in (False, True):
+            for _ in range(10):
+                M = _random_matrix(rng, n, complex_entries, scale=10.0 ** rng.uniform(-3, 3))
+                ref = np.abs(np.diag(scipy.linalg.lu_factor(M)[0])).min()
+                assert abs(la._min_pivot(M) - ref) <= 4 * n * eps * norm1(M)
+
+
+def test_pivot_row_is_the_first_of_largest_re_plus_im():
+    # A three-way tie in the first column: the first row gives min pivot
+    # 0.75, the last would give 1.0.  Every step is exact.
+    M = np.array([[-1.0, 2.0, -1.0], [-1.0, -2.0, -2.0], [1.0, -1.0, 2.0]])
+    assert la._min_pivot(M) == np.abs(np.diag(scipy.linalg.lu_factor(M)[0])).min() == 0.75
+    assert la._min_pivot_rows(M) == 0.75
+    # |1+i| < 1.9 < |Re| + |Im| = 2: getrf pivots on 1+i, of modulus sqrt(2).
+    M = np.array([[1.0 + 1.0j, 0.0], [1.9, 10.0]])
+    ref = np.abs(np.diag(scipy.linalg.lu_factor(M)[0])).min()
+    assert math.isclose(ref, math.sqrt(2.0), rel_tol=1e-15)
+    assert math.isclose(la._min_pivot(M), ref, rel_tol=1e-15)
+    assert math.isclose(la._min_pivot_rows(M), ref, rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------- spectrum
