@@ -69,9 +69,6 @@ def _square(M):
 
 
 _PIVOT_RTOL = 1e-14
-# Up to this order the elimination of _min_pivot runs on Python scalars,
-# which beats numpy's per-call overhead; above it, on numpy rows.
-_SCALAR_ELIMINATION_MAX = 16
 
 
 def _min_pivot(M):
@@ -79,8 +76,6 @@ def _min_pivot(M):
     row chosen as LAPACK's ``i?amax`` (inside ``getrf``) chooses it: the
     first row of largest ``|Re| + |Im|`` in the column."""
     n = len(M)
-    if n > _SCALAR_ELIMINATION_MAX:
-        return _min_pivot_rows(M)
     a = M.tolist()
     smallest = math.inf
     for k in range(n):
@@ -99,21 +94,6 @@ def _min_pivot(M):
             f = row[k] * r
             for j in range(k + 1, n):
                 row[j] -= f * top[j]
-    return smallest
-
-
-def _min_pivot_rows(M):
-    """``_min_pivot`` by one numpy rank-one update per column."""
-    U = np.array(M, dtype=np.result_type(M, float))
-    size = (lambda c: np.abs(c.real) + np.abs(c.imag)) if np.iscomplexobj(U) else np.abs
-    smallest = math.inf
-    for k in range(len(U)):
-        p = k + int(np.argmax(size(U[k:, k])))
-        U[[k, p]] = U[[p, k]]
-        smallest = min(smallest, float(abs(U[k, k])))
-        if not U[k, k]:
-            break
-        U[k + 1:, k + 1:] -= np.multiply.outer(U[k + 1:, k] * (1.0 / U[k, k]), U[k, k + 1:])
     return smallest
 
 

@@ -86,11 +86,10 @@ def test_inv_and_solve_have_the_bits_of_numpy_gesv():
 
 def test_pivot_rule_reads_the_pivots_of_getrf():
     # scipy's lu_factor (LAPACK getrf) is the oracle: the smallest |u_kk| of
-    # both eliminations agree to a few ulps of norm1(M), on either side of
-    # the switch from scalar to numpy rows.
+    # both eliminations agree to a few ulps of norm1(M).
     rng = np.random.default_rng(5)
     eps = np.finfo(float).eps
-    for n in [*range(1, 9), la._SCALAR_ELIMINATION_MAX, la._SCALAR_ELIMINATION_MAX + 4]:
+    for n in [*range(1, 9), 16, 20]:
         for complex_entries in (False, True):
             for _ in range(10):
                 M = _random_matrix(rng, n, complex_entries, scale=10.0 ** rng.uniform(-3, 3))
@@ -103,13 +102,11 @@ def test_pivot_row_is_the_first_of_largest_re_plus_im():
     # 0.75, the last would give 1.0.  Every step is exact.
     M = np.array([[-1.0, 2.0, -1.0], [-1.0, -2.0, -2.0], [1.0, -1.0, 2.0]])
     assert la._min_pivot(M) == np.abs(np.diag(scipy.linalg.lu_factor(M)[0])).min() == 0.75
-    assert la._min_pivot_rows(M) == 0.75
     # |1+i| < 1.9 < |Re| + |Im| = 2: getrf pivots on 1+i, of modulus sqrt(2).
     M = np.array([[1.0 + 1.0j, 0.0], [1.9, 10.0]])
     ref = np.abs(np.diag(scipy.linalg.lu_factor(M)[0])).min()
     assert math.isclose(ref, math.sqrt(2.0), rel_tol=1e-15)
     assert math.isclose(la._min_pivot(M), ref, rel_tol=1e-15)
-    assert math.isclose(la._min_pivot_rows(M), ref, rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------- spectrum
